@@ -1,6 +1,7 @@
 """Self-similar free-particle Madelung flow: closed forms and verification."""
 
 from .core import (
+    LAB_FIELDS,
     ComplexAmplitude,
     LabPoint,
     PhysicalParams,
@@ -9,6 +10,7 @@ from .core import (
     SolutionConstants,
     density,
     eta_of,
+    lab_field,
     phase,
     quantum_potential_eq9,
     shape_density,
@@ -23,6 +25,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     MadelungError,
+    NonFiniteOutput,
     PoleError,
     RangeTooNarrow,
     SingularityError,

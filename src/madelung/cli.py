@@ -19,15 +19,17 @@ from . import analysis, core, verify
 from .errors import (
     DomainError,
     MadelungError,
+    NonFiniteOutput,
     RangeTooNarrow,
     SingularityError,
     ToleranceNotMet,
     UnmatchedRoot,
+    require_finite,
 )
 from .specfun import DEFAULT_ACCURACY, EvalAccuracy
 
 ETA_FIELDS = ("f", "g", "h", "Q")
-LAB_FIELDS = ("rho", "u", "v", "S", "psi_re", "psi_im")
+LAB_FIELDS = core.LAB_FIELDS
 
 # hard residual thresholds; phase and qpotential are comparative reports
 # and never gate the exit status
@@ -142,14 +144,19 @@ def build_config(args) -> RunConfig:
         c2=pick("c2", args.c2, float, 1.0),
         c0=pick("c0", args.c0, float, 0.0),
     )
+    tol = pick("tol", args.tol, float, 1e-9)
+    fd_step = pick("fd_step", getattr(args, "fd_step", None), float, 1e-4)
+    for flag, value in (("--tol", tol), ("--fd-step", fd_step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{flag} must be finite and positive, got {value!r}")
     return RunConfig(
         params=params,
         consts=consts,
         accuracy=DEFAULT_ACCURACY,
         grids=grids,
         output_path=pick("output", args.output, str, None),
-        tol=pick("tol", args.tol, float, 1e-9),
-        fd_step=pick("fd_step", getattr(args, "fd_step", None), float, 1e-4),
+        tol=tol,
+        fd_step=fd_step,
     )
 
 
@@ -174,14 +181,17 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         etas = grid.points()
         if name == "f":
             vals = core.shape_density(etas, cfg.params, cfg.consts, cfg.accuracy)
+            require_finite(name, vals, eta=etas)
             table = CsvTable(["eta", "f"], list(zip(etas, vals)))
         elif name in ("g", "h"):
             g, h = core.shape_velocity_split(etas, cfg.consts)
             vals = g if name == "g" else h
+            require_finite(name, vals, eta=etas)
             table = CsvTable(["eta", name], list(zip(etas, vals)))
         else:  # Q with sentinel flags near poles
             q, excluded = core.quantum_potential_eq9_masked(
                 etas, cfg.params, cfg.consts, acc=cfg.accuracy)
+            require_finite(name, np.where(excluded, 0.0, q), eta=etas)
             rows = [(e, None if bad else v, "near_pole" if bad else "")
                     for e, v, bad in zip(etas, q, excluded)]
             table = CsvTable(["eta", "Q", "flag"], rows)
@@ -191,24 +201,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     xs = _axis_points(args.x, cfg, "x", verify.GridSpec(0.5, 5.0, 100))
     ys = _axis_points(args.y, cfg, "y", 0.0)
     ts = _axis_points(args.t, cfg, "t", 1.0)
-    rows = []
-    for t in ts:
-        for y in ys:
-            for x in xs:
-                p = core.LabPoint(float(x), float(y), float(t))
-                if name == "rho":
-                    v = core.density(p, cfg.params, cfg.consts, cfg.accuracy)
-                elif name == "u":
-                    v = core.velocity(p, cfg.params, cfg.consts)[0]
-                elif name == "v":
-                    v = core.velocity(p, cfg.params, cfg.consts)[1]
-                elif name == "S":
-                    v = core.phase(p, cfg.params)
-                elif name == "psi_re":
-                    v = core.wavefunction_canonical(p, cfg.params, cfg.consts, cfg.accuracy).re
-                else:
-                    v = core.wavefunction_canonical(p, cfg.params, cfg.consts, cfg.accuracy).im
-                rows.append((x, y, t, v))
+    # rows run t outer, then y, then x innermost
+    t, y, x = np.meshgrid(ts, ys, xs, indexing="ij")
+    vals = core.lab_field(name, x, y, t, cfg.params, cfg.consts, cfg.accuracy)
+    require_finite(name, vals, x=x, y=y, t=t)
+    rows = list(zip(x.ravel(), y.ravel(), t.ravel(), vals.ravel()))
     emit(CsvTable(["x", "y", "t", name], rows), cfg)
     return 0
 
@@ -438,7 +435,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg, args)
-    except (RangeTooNarrow, UnmatchedRoot, ToleranceNotMet) as exc:
+    except (RangeTooNarrow, UnmatchedRoot, ToleranceNotMet, NonFiniteOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (MadelungError, OSError, ValueError) as exc:

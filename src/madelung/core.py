@@ -25,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, require_finite
 from .specfun import DEFAULT_ACCURACY, EvalAccuracy
 
 __all__ = [
+    "LAB_FIELDS",
     "PhysicalParams",
     "SolutionConstants",
     "SimilarityExponents",
@@ -40,6 +41,7 @@ __all__ = [
     "simplified_shape_density",
     "shape_velocity_sum",
     "shape_velocity_split",
+    "lab_field",
     "density",
     "velocity",
     "phase",
@@ -49,6 +51,9 @@ __all__ = [
 ]
 
 _SHAPE_AMPLITUDE = math.pi * math.pi / 64.0
+
+# lab-frame fields evaluated by lab_field
+LAB_FIELDS = ("rho", "u", "v", "S", "psi_re", "psi_im")
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,8 @@ class PhysicalParams:
     dimension: int = 2
 
     def __post_init__(self):
+        if not (math.isfinite(self.m) and math.isfinite(self.hbar)):
+            raise DomainError("mass and hbar must be finite")
         if not self.m > 0:
             raise DomainError("mass must be positive")
         if not self.hbar > 0:
@@ -81,6 +88,8 @@ class SolutionConstants:
     c0: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.c0, self.c1, self.c2)):
+            raise DomainError("c0, c1 and c2 must be finite")
         if self.c1 == 0.0 and self.c2 == 0.0:
             raise DomainError("c1 and c2 must not both vanish")
 
@@ -251,33 +260,72 @@ def shape_velocity_split(eta, consts: SolutionConstants):
     return g, g
 
 
+def _lab_arrays(names, x, y, t, params, consts, acc):
+    # the LAB_FIELDS in names on broadcast (x, y, t) arrays, sharing eta,
+    # rho and S between them
+    x, y, t = (np.asarray(v, dtype=float) for v in (x, y, t))
+    if not np.all(t > 0.0):
+        raise DomainError("t must be positive")
+    s = x + y
+    fields = {"S": params.m * s * s / (4.0 * params.hbar * t)}
+    if set(names) != {"S"}:
+        if not np.all(s > 0.0):
+            raise DomainError("x + y must be positive")
+        rt = np.sqrt(t)
+        eta = s / rt
+        g, h = shape_velocity_split(eta, consts)
+        fields.update(u=g / rt, v=h / rt)
+    if set(names) & {"rho", "psi_re", "psi_im"}:
+        fields["rho"] = _shape_density_arr(_check_eta(eta), params, consts, acc) / rt
+        amp = np.sqrt(fields["rho"])
+        for name, trig in (("psi_re", np.cos), ("psi_im", np.sin)):
+            if name in names:
+                fields[name] = amp * trig(fields["S"])
+                require_finite(name, fields[name], x=x, y=y, t=t)
+    return tuple(fields[name] for name in names)
+
+
+def lab_field(name: str, x, y, t, params: PhysicalParams,
+              consts: SolutionConstants, acc: EvalAccuracy = DEFAULT_ACCURACY) -> np.ndarray:
+    """One field of LAB_FIELDS on whole arrays of lab coordinates.
+
+    x, y and t broadcast against each other.  rho = f(eta)/sqrt(t) from the
+    literal closed form, u = v = g(eta)/sqrt(t), S = (m/hbar) (x+y)^2/(4t),
+    and psi_re, psi_im = sqrt(rho) (cos S, sin S).  Every t must be
+    positive, and so must every x + y for all fields but S.  A non-finite
+    psi raises NonFiniteOutput naming its first point in C order.
+    """
+    if name not in LAB_FIELDS:
+        raise DomainError(f"unknown lab field {name!r}; expected one of {LAB_FIELDS}")
+    return _lab_arrays((name,), x, y, t, params, consts, acc)[0]
+
+
+def _at_point(names, p: LabPoint, params, consts, acc=DEFAULT_ACCURACY):
+    fields = _lab_arrays(names, [p.x], [p.y], [p.t], params, consts, acc)
+    return tuple(float(v[0]) for v in fields)
+
+
 def density(p: LabPoint, params: PhysicalParams, consts: SolutionConstants,
             acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
     """rho(x, y, t) = f(eta)/sqrt(t)."""
-    eta = eta_of(p).eta
-    return shape_density(eta, params, consts, acc) / math.sqrt(p.t)
+    return _at_point(("rho",), p, params, consts, acc)[0]
 
 
 def velocity(p: LabPoint, params: PhysicalParams, consts: SolutionConstants):
     """(u, v) = (g(eta), h(eta))/sqrt(t); equals ((x+y)/(4t),)*2 for c0 = 0."""
-    eta = eta_of(p).eta
-    g, h = shape_velocity_split(eta, consts)
-    rt = math.sqrt(p.t)
-    return g / rt, h / rt
+    return _at_point(("u", "v"), p, params, consts)
 
 
 def phase(p: LabPoint, params: PhysicalParams) -> float:
     """Wave-function phase S = (m/hbar) (x+y)^2 / (4t)."""
-    return params.m * p.s * p.s / (4.0 * params.hbar * p.t)
+    return _at_point(("S",), p, params, None)[0]
 
 
 def wavefunction_canonical(p: LabPoint, params: PhysicalParams,
                            consts: SolutionConstants,
                            acc: EvalAccuracy = DEFAULT_ACCURACY) -> ComplexAmplitude:
     """sqrt(rho) e^{iS}: modulus from the density, argument from the phase."""
-    amp = math.sqrt(density(p, params, consts, acc))
-    s = phase(p, params)
-    return ComplexAmplitude(amp * math.cos(s), amp * math.sin(s))
+    return ComplexAmplitude(*_at_point(("psi_re", "psi_im"), p, params, consts, acc))
 
 
 def wavefunction_eq8(p: LabPoint, params: PhysicalParams,

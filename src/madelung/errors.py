@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the output check that raises one."""
+
+import numpy as np
 
 
 class MadelungError(Exception):
@@ -51,3 +53,23 @@ class UnmatchedRoot(MadelungError):
 
 class ToleranceNotMet(MadelungError):
     """A quadrature panel could not be resolved to the requested tolerance."""
+
+
+class NonFiniteOutput(MadelungError):
+    """An evaluated value is NaN or infinite outside every documented exclusion."""
+
+
+def require_finite(name, values, **coords):
+    """Raise NonFiniteOutput naming the first point where ``values`` is not finite.
+
+    ``coords`` maps coordinate names to arrays that broadcast against
+    ``values``; points are taken in C order, the row order of the CLI tables.
+    """
+    values = np.asarray(values)
+    bad = ~np.isfinite(values)
+    if not bad.any():
+        return
+    i = int(np.flatnonzero(bad)[0])
+    where = ", ".join(f"{key} = {float(np.broadcast_to(val, values.shape).flat[i])!r}"
+                      for key, val in coords.items())
+    raise NonFiniteOutput(f"{name} is not finite at {where}")

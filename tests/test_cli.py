@@ -1,7 +1,10 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from madelung import core
 from madelung.cli import CsvTable, main, parse_grid
 from madelung.errors import DomainError
 
@@ -227,3 +230,132 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, argv + ["--output", str(path)])
         assert code == 0
         assert path.read_text() == stdout_text
+
+
+# raster whose eta = (x + y)/sqrt(t) runs from ~0.2 to 14.5, so that
+# z = eta^2/(4 sqrt(2)) crosses the Bessel switch points z = 8, 12 and 20
+LAB_RASTER = ["--x", "0.25:14:56", "--y", "0:0.5:2", "--t", "1:1.5:3"]
+
+
+def lab_rows(out):
+    lines = out.strip().split("\n")
+    return lines[0], [tuple(float(c) for c in line.split(",")) for line in lines[1:]]
+
+
+class TestLabEvalVectorized:
+    """CLI lab eval against the scalar core API, point by point, as the reference."""
+
+    @staticmethod
+    def scalar(name, x, y, t, params, consts):
+        p = core.LabPoint(x, y, t)
+        if name == "rho":
+            return core.density(p, params, consts)
+        if name in ("u", "v"):
+            return core.velocity(p, params, consts)["uv".index(name)]
+        if name == "S":
+            return core.phase(p, params)
+        w = core.wavefunction_canonical(p, params, consts)
+        return w.re if name == "psi_re" else w.im
+
+    @pytest.mark.parametrize("name", ["rho", "u", "v", "S", "psi_re", "psi_im"])
+    def test_matches_scalar_api(self, capsys, params, consts, name):
+        code, out, _ = run_cli(capsys, ["eval", "--field", name] + LAB_RASTER)
+        assert code == 0
+        header, rows = lab_rows(out)
+        assert header == f"x,y,t,{name}"
+        xs = np.linspace(0.25, 14.0, 56)
+        order = [(x, y, t) for t in (1.0, 1.25, 1.5) for y in (0.0, 0.5) for x in xs]
+        assert [r[:3] for r in rows] == order
+        got = np.array([r[3] for r in rows])
+        want = np.array([self.scalar(name, x, y, t, params, consts) for x, y, t in order])
+        if name in ("u", "v", "S"):
+            assert np.array_equal(got, want)
+        else:
+            # the array kernels sum and recur per array, not per point, so
+            # values differ at rounding level; measured against the largest
+            # magnitude of the same (t, y) row
+            envelope = np.abs(want).reshape(6, 56).max(axis=1).repeat(56)
+            assert np.max(np.abs(got - want) / envelope) <= 1e-11
+
+    @pytest.mark.parametrize("name", ["rho", "u", "v", "S", "psi_re", "psi_im"])
+    def test_nonpositive_t_exit_2(self, capsys, name):
+        code, _, err = run_cli(capsys, [
+            "eval", "--field", name, "--x", "1:2:3", "--t", "0:1:2"])
+        assert code == 2
+        assert "t must be positive" in err
+
+    @pytest.mark.parametrize("name", ["rho", "u", "v", "psi_re", "psi_im"])
+    def test_nonpositive_sum_exit_2(self, capsys, name):
+        code, _, err = run_cli(capsys, [
+            "eval", "--field", name, "--x=-2:2:5", "--y", "0.5", "--t", "1"])
+        assert code == 2
+        assert "x + y must be positive" in err
+
+    def test_phase_evaluates_at_nonpositive_sum(self, capsys, params):
+        code, out, _ = run_cli(capsys, [
+            "eval", "--field", "S", "--x=-2:2:5", "--y", "0.5", "--t", "1"])
+        assert code == 0
+        _, rows = lab_rows(out)
+        assert [r[3] for r in rows] == [
+            self.scalar("S", x, 0.5, 1.0, params, None) for x in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+
+    # SHA-256 of the CSV written by the per-point implementation; u, v and S
+    # involve only IEEE + - * / and sqrt, so the digests are portable
+    GOLDEN = {
+        ("u", "default"): "03e0bbfba973af9622ea4858986266164fe86bd29f0a70f81e5886d7a942911b",
+        ("v", "default"): "8de7a93fbee62f3994f661a36b7274a079df2b233868e4eb15afd8fde6f6527a",
+        ("S", "default"): "1af25116c50e4ccb79e3293dc51748957daf3563d074ddbab9a04887a21c0ed1",
+        ("u", "params"): "9523669f16278cc21a790fde6d7e97b4cbcfaaa90b739d2ee026336c7c2465f3",
+        ("v", "params"): "991043a25cc3f39d241cd48a42fec347ccedefe50a99dbc6256449ad9f28499d",
+        ("S", "params"): "740a8e65cb1af3b4f2d0637dcbda40e7a5588be29eaa59325bdf12dcfe4f8735",
+    }
+    PARAMS = ["--m", "1.5", "--hbar", "0.7", "--c0", "0.3", "--c1", "0.4",
+              "--c2", "-1.2", "--dim", "3"]
+
+    @pytest.mark.parametrize("name,variant", list(GOLDEN))
+    def test_golden_digest(self, capsys, name, variant):
+        extra = self.PARAMS if variant == "params" else []
+        code, out, _ = run_cli(capsys, ["eval", "--field", name] + LAB_RASTER + extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[(name, variant)]
+
+    def test_golden_digest_negative_grid_start(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "eval", "--field", "S", "--x=-3:1:5", "--y", "0.5", "--t", "0.5:2:2"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d6b69d2518d96a53b9a30bbc6847a282a18e94635cc72b879713a9ef8a7813cc")
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_c1_exit_2(self, capsys, value):
+        code, out, err = run_cli(capsys, [
+            "eval", "--field", "f", "--eta", "1:2:2", "--c1", value])
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv,where", [
+        (["--field", "rho", "--x", "0.5:1:3", "--t", "1"],
+         "rho is not finite at x = 0.5, y = 0.0, t = 1.0"),
+        (["--field", "psi_re", "--x", "0.5:1:3", "--t", "1"], "psi_re is not finite at x = 0.5"),
+        (["--field", "f", "--eta", "1:2:2"], "f is not finite at eta = 1.0"),
+    ])
+    def test_nonfinite_output_exit_3_names_row(self, capsys, argv, where):
+        code, out, err = run_cli(capsys, ["eval"] + argv + ["--m", "1e300"])
+        assert code == 3
+        assert out == ""
+        assert where in err
+
+    def test_fd_step_zero_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, ["verify", "--which", "pde", "--fd-step", "0"])
+        assert code == 2
+        assert "--fd-step must be finite and positive" in err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
+    def test_nonpositive_tol_exit_2(self, capsys, tol):
+        code, _, err = run_cli(capsys, ["integrate", "--limits", "10", "--tol", tol])
+        assert code == 2
+        assert "--tol must be finite and positive" in err

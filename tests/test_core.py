@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from madelung.core import (
+    LAB_FIELDS,
     ComplexAmplitude,
     LabPoint,
     PhysicalParams,
@@ -15,6 +16,7 @@ from madelung.core import (
     SolutionConstants,
     density,
     eta_of,
+    lab_field,
     phase,
     quantum_potential_eq9,
     shape_density,
@@ -25,7 +27,7 @@ from madelung.core import (
     wavefunction_canonical,
     wavefunction_eq8,
 )
-from madelung.errors import DomainError, SingularityError
+from madelung.errors import DomainError, NonFiniteOutput, SingularityError
 
 import reference_values as ref
 
@@ -276,3 +278,85 @@ class TestQuantumPotentialEq9:
     def test_rejects_nonpositive_eta(self, params, consts):
         with pytest.raises(DomainError):
             quantum_potential_eq9(-1.0, params, consts)
+
+
+class TestFiniteParameterRecords:
+    @pytest.mark.parametrize("kwargs", [
+        {"m": math.inf}, {"m": math.nan}, {"m": 1.0, "hbar": math.inf},
+        {"m": 1.0, "hbar": math.nan}])
+    def test_params_reject_nonfinite(self, kwargs):
+        with pytest.raises(DomainError, match="finite"):
+            PhysicalParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"c1": math.inf, "c2": 1.0}, {"c1": -math.inf, "c2": 1.0},
+        {"c1": 1.0, "c2": math.nan}, {"c1": 1.0, "c2": 1.0, "c0": math.inf},
+        # nan compares unequal to zero, so it used to pass the vanishing check
+        {"c1": math.nan, "c2": 0.0}])
+    def test_constants_reject_nonfinite(self, kwargs):
+        with pytest.raises(DomainError, match="finite"):
+            SolutionConstants(**kwargs)
+
+
+class TestLabFieldArray:
+    XS = np.array([0.3, 1.7, 4.0, 9.5, 13.0])
+    YS = np.array([[0.0], [0.6]])
+    TS = np.array([[[0.8]], [[1.9]]])
+
+    def test_broadcast_shape(self, params, consts):
+        for name in LAB_FIELDS:
+            out = lab_field(name, self.XS, self.YS, self.TS, params, consts)
+            assert out.shape == (2, 2, 5)
+
+    @pytest.mark.parametrize("name", LAB_FIELDS)
+    def test_scalar_api_is_one_element_call(self, params, consts, name):
+        # the scalar API wraps lab_field on 1-element arrays, bit for bit
+        for x, y, t in [(0.5, 0.5, 1.0), (1.0, 2.0, 0.7), (3.0, 1.0, 5.0), (9.0, 4.0, 1.1)]:
+            p = LabPoint(x, y, t)
+            scalar = {"rho": density(p, params, consts),
+                      "u": velocity(p, params, consts)[0],
+                      "v": velocity(p, params, consts)[1],
+                      "S": phase(p, params),
+                      "psi_re": wavefunction_canonical(p, params, consts).re,
+                      "psi_im": wavefunction_canonical(p, params, consts).im}[name]
+            arr = lab_field(name, np.array([x]), np.array([y]), np.array([t]), params, consts)
+            assert arr.shape == (1,)
+            assert float(arr[0]) == scalar
+
+    def test_exact_fields_match_scalar_api_on_grid(self, params):
+        consts = SolutionConstants(c1=0.4, c2=-1.2, c0=0.3)
+        x, y, t = np.broadcast_arrays(self.XS, self.YS, self.TS)
+        for name, fn in (("u", lambda p: velocity(p, params, consts)[0]),
+                         ("v", lambda p: velocity(p, params, consts)[1]),
+                         ("S", lambda p: phase(p, params))):
+            out = lab_field(name, x, y, t, params, consts)
+            want = [fn(LabPoint(*pt)) for pt in zip(x.ravel(), y.ravel(), t.ravel())]
+            assert out.ravel().tolist() == want
+
+    def test_psi_modulus_squared_is_rho(self, params, consts):
+        rho = lab_field("rho", self.XS, self.YS, self.TS, params, consts)
+        re = lab_field("psi_re", self.XS, self.YS, self.TS, params, consts)
+        im = lab_field("psi_im", self.XS, self.YS, self.TS, params, consts)
+        assert np.allclose(re * re + im * im, rho, rtol=1e-12, atol=0.0)
+
+    def test_domain_checks(self, params, consts):
+        with pytest.raises(DomainError, match="unknown lab field"):
+            lab_field("f", 1.0, 1.0, 1.0, params, consts)
+        for name in LAB_FIELDS:
+            with pytest.raises(DomainError, match="t must be positive"):
+                lab_field(name, self.XS, 0.0, np.array([1.0, 0.0]).reshape(2, 1),
+                          params, consts)
+        for name in set(LAB_FIELDS) - {"S"}:
+            with pytest.raises(DomainError, match="x \\+ y must be positive"):
+                lab_field(name, np.array([1.0, -1.0]), 0.5, 1.0, params, consts)
+        s = lab_field("S", np.array([1.0, -1.0]), 0.5, 1.0, params, consts)
+        assert s.tolist() == [0.5625, 0.0625]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_psi_names_first_point(self, consts):
+        huge = PhysicalParams(m=1e300)
+        rho = lab_field("rho", [0.5, 1.0], 0.0, 2.0, huge, consts)
+        assert np.all(np.isnan(rho))
+        with pytest.raises(NonFiniteOutput,
+                           match="psi_im is not finite at x = 0.5, y = 0.0, t = 2.0"):
+            lab_field("psi_im", [0.5, 1.0], 0.0, 2.0, huge, consts)
