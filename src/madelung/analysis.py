@@ -233,7 +233,9 @@ def match_poles(roots: RootSet, params: PhysicalParams,
     eta_star = roots.etas()
     z_star = k * eta_star * eta_star
     delta = 0.25
-    lo = z_star - delta
+    # z = 0 is a branch point of J_{1/4}: a first zero below z = delta keeps
+    # its bracket's lower end at z_star / 2
+    lo = np.maximum(z_star - delta, 0.5 * z_star)
     hi = z_star + delta
     flo = fn(lo)
     fhi = fn(hi)

@@ -9,6 +9,7 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -54,30 +55,63 @@ class RunConfig:
     fd_step: float = 1e-4
 
 
+# rows formatted per write; bounds the writer's memory independently of the table
+CHUNK_ROWS = 4096
+
+
 @dataclass
 class CsvTable:
-    """Rectangular numeric table; None renders as an empty field."""
+    """A header plus one 1-D column per name.
+
+    A column is a sequence of str (a text column such as ``flag``) or
+    anything numpy reads as floats; a NaN or None cell renders as an
+    empty field.
+    """
 
     header: list
-    rows: list
+    columns: list
+
+    def write(self, fh):
+        """Write the table to a text stream, CHUNK_ROWS rows per write."""
+        if len(self.columns) != len(self.header):
+            raise ValueError("ragged csv table: one column per header name")
+        cols = []
+        for col in self.columns:
+            arr = np.asarray(col)
+            cols.append(arr if arr.dtype.kind == "U" else arr.astype(float, copy=False))
+        nrows = len(cols[0]) if cols else 0
+        if any(c.ndim != 1 or len(c) != nrows for c in cols):
+            raise ValueError("ragged csv table: columns differ in length")
+        fmts = ["%s" if c.dtype.kind == "U" else "%.17g" for c in cols]
+        row_fmt = ",".join(fmts) + "\n"
+        ncols = len(cols)
+        fh.write(",".join(self.header) + "\n")
+        for lo in range(0, nrows, CHUNK_ROWS):
+            chunk = [c[lo:lo + CHUNK_ROWS] for c in cols]
+            n = len(chunk[0])
+            cells = [None] * (n * ncols)
+            for j, c in enumerate(chunk):
+                cells[j::ncols] = c.tolist()
+            blank = np.zeros(n, dtype=bool)
+            for c in chunk:
+                if c.dtype.kind != "U":
+                    blank |= np.isnan(c)
+            # runs of complete rows take one % each; a row with a blank
+            # cell is formatted cell by cell
+            start = 0
+            for r in np.flatnonzero(blank).tolist() + [n]:
+                if r > start:
+                    fh.write(row_fmt * (r - start) % tuple(cells[start * ncols:r * ncols]))
+                if r < n:
+                    row = cells[r * ncols:(r + 1) * ncols]
+                    fh.write(",".join("" if v != v else f % v
+                                      for f, v in zip(fmts, row)) + "\n")
+                start = r + 1
 
     def render(self) -> str:
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, str):
-                return v
-            v = float(v)
-            if math.isnan(v):
-                return ""
-            return format(v, ".17g")
-
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise ValueError("ragged csv row")
-            lines.append(",".join(cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        self.write(buf)
+        return buf.getvalue()
 
 
 def parse_grid(text: str) -> verify.GridSpec:
@@ -161,12 +195,11 @@ def build_config(args) -> RunConfig:
 
 
 def emit(table: CsvTable, cfg: RunConfig):
-    text = table.render()
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            table.write(fh)
     else:
-        sys.stdout.write(text)
+        table.write(sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +215,19 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         if name == "f":
             vals = core.shape_density(etas, cfg.params, cfg.consts, cfg.accuracy)
             require_finite(name, vals, eta=etas)
-            table = CsvTable(["eta", "f"], list(zip(etas, vals)))
+            table = CsvTable(["eta", "f"], [etas, vals])
         elif name in ("g", "h"):
             g, h = core.shape_velocity_split(etas, cfg.consts)
             vals = g if name == "g" else h
             require_finite(name, vals, eta=etas)
-            table = CsvTable(["eta", name], list(zip(etas, vals)))
+            table = CsvTable(["eta", name], [etas, vals])
         else:  # Q with sentinel flags near poles
             q, excluded = core.quantum_potential_eq9_masked(
                 etas, cfg.params, cfg.consts, acc=cfg.accuracy)
             require_finite(name, np.where(excluded, 0.0, q), eta=etas)
-            rows = [(e, None if bad else v, "near_pole" if bad else "")
-                    for e, v, bad in zip(etas, q, excluded)]
-            table = CsvTable(["eta", "Q", "flag"], rows)
+            # q is NaN, so blank, at the flagged rows
+            table = CsvTable(["eta", "Q", "flag"],
+                             [etas, q, np.where(excluded, "near_pole", "")])
         emit(table, cfg)
         return 0
 
@@ -205,8 +238,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     t, y, x = np.meshgrid(ts, ys, xs, indexing="ij")
     vals = core.lab_field(name, x, y, t, cfg.params, cfg.consts, cfg.accuracy)
     require_finite(name, vals, x=x, y=y, t=t)
-    rows = list(zip(x.ravel(), y.ravel(), t.ravel(), vals.ravel()))
-    emit(CsvTable(["x", "y", "t", name], rows), cfg)
+    emit(CsvTable(["x", "y", "t", name], [a.ravel() for a in (x, y, t, vals)]), cfg)
     return 0
 
 
@@ -251,19 +283,18 @@ def _print_report(rep: verify.ResidualReport):
 
 def _qpotential_table(cfg) -> CsvTable:
     etas = np.linspace(0.4, 3.0, 14)
-    rows = []
-    ratios = []
-    for eta in etas:
+    q9s, qds = np.full(len(etas), np.nan), np.full(len(etas), np.nan)
+    for i, eta in enumerate(etas):
         try:
             q9 = core.quantum_potential_eq9(float(eta), cfg.params, cfg.consts,
                                             acc=cfg.accuracy)
             qd = verify.quantum_potential_direct(float(eta), cfg.params, cfg.consts,
                                                  fd_step=cfg.fd_step, acc=cfg.accuracy)
         except (SingularityError, DomainError):
-            rows.append((eta, None, None, None))
             continue
-        rows.append((eta, q9, qd, q9 / qd))
-        ratios.append(q9 / qd)
+        q9s[i], qds[i] = q9, qd
+    ratio = q9s / qds
+    ratios = ratio[~np.isnan(ratio)].tolist()
     if ratios:
         print(f"qpotential comparative: eq9/direct ratio in "
               f"[{min(ratios):.6f}, {max(ratios):.6f}] over {len(ratios)} points "
@@ -271,7 +302,7 @@ def _qpotential_table(cfg) -> CsvTable:
     else:
         print("qpotential comparative: every sample point fell inside a pole "
               "exclusion zone; adjust the grid (report only; no threshold)")
-    return CsvTable(["eta", "q_eq9", "q_direct", "ratio"], rows)
+    return CsvTable(["eta", "q_eq9", "q_direct", "ratio"], [etas, q9s, qds, ratio])
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
@@ -302,12 +333,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         _, good = _report_status(rep)
         ok = ok and good
 
-    if cfg.output_path:
-        if tables is None:
-            tables = _stack_reports(reports)
-        emit(tables, cfg)
-    elif which == "qpotential":
-        sys.stdout.write(tables.render())
+    if cfg.output_path or which == "qpotential":
+        emit(tables or _stack_reports(reports), cfg)
     return 0 if ok else 3
 
 
@@ -317,17 +344,12 @@ def _stack_reports(reports) -> CsvTable:
         for n in rep.points.names:
             if n not in all_names:
                 all_names.append(n)
-    header = ["equation"] + all_names
-    rows = []
-    for rep in reports:
-        vals = rep.points.values
-        idx = {n: i for i, n in enumerate(rep.points.names)}
-        for r in vals:
-            row = [rep.equation_id]
-            for n in all_names:
-                row.append(float(r[idx[n]]) if n in idx else None)
-            rows.append(tuple(row))
-    return CsvTable(header, rows)
+    equation = np.concatenate([np.full(len(rep.points), rep.equation_id)
+                               for rep in reports])
+    columns = [np.concatenate([rep.points.column(n) if n in rep.points.names
+                               else np.full(len(rep.points), np.nan) for rep in reports])
+               for n in all_names]
+    return CsvTable(["equation"] + all_names, [equation] + columns)
 
 
 def cmd_zeros(cfg: RunConfig, args) -> int:
@@ -335,9 +357,10 @@ def cmd_zeros(cfg: RunConfig, args) -> int:
     roots = analysis.find_zeros((lo, hi), cfg.params, cfg.consts,
                                 max_roots=args.max_roots, acc=cfg.accuracy)
     matched = analysis.match_poles(roots, cfg.params, cfg.consts, cfg.accuracy)
-    rows = [(float(i), eta, pole, sep)
-            for i, (eta, pole, sep) in enumerate(matched.matched_poles, start=1)]
-    emit(CsvTable(["index", "eta_star", "q_pole_eta", "separation"], rows), cfg)
+    eta, pole, sep = zip(*matched.matched_poles)
+    index = np.arange(1, len(eta) + 1, dtype=float)
+    emit(CsvTable(["index", "eta_star", "q_pole_eta", "separation"],
+                  [index, eta, pole, sep]), cfg)
     return 0
 
 
@@ -345,7 +368,7 @@ def cmd_integrate(cfg: RunConfig, args) -> int:
     limits = [float(v) for v in args.limits.split(",")]
     result = analysis.integrate_density(limits, cfg.params, cfg.consts,
                                         tol=cfg.tol, acc=cfg.accuracy)
-    emit(CsvTable(["H", "F", "err"], list(result.partial_integrals)), cfg)
+    emit(CsvTable(["H", "F", "err"], list(zip(*result.partial_integrals))), cfg)
     tm = result.tail_model
     print(f"tail fit (log):  F ~ a + b ln H with a={tm.log_offset:.9g} "
           f"b={tm.log_coefficient:.9g} rms={tm.log_rms:.3e}")
@@ -362,8 +385,7 @@ def cmd_figure(cfg: RunConfig, args) -> int:
     series = analysis.figure_series(fig, cfg.params, cfg.consts,
                                     grid=grid, time_grid=cfg.grids.get("t"),
                                     acc=cfg.accuracy)
-    rows = [tuple(row) for row in series.values]
-    emit(CsvTable(list(series.names), rows), cfg)
+    emit(CsvTable(list(series.names), list(series.values.T)), cfg)
     return 0
 
 

@@ -173,7 +173,14 @@ def _mass_scale(params: PhysicalParams) -> float:
 
 
 def _z_arg(eta, params: PhysicalParams):
-    return params.m * eta * eta / (4.0 * params.hbar * math.sqrt(params.dimension))
+    z = params.m * eta * eta / (4.0 * params.hbar * math.sqrt(params.dimension))
+    # a positive eta whose z underflows would send the Bessel series to 0^nu
+    under = (z == 0.0) & (eta != 0.0)
+    if np.any(under):
+        bad = float(np.asarray(eta, dtype=float)[under][0])
+        raise DomainError(
+            f"z = m eta^2/(4 hbar sqrt(d)) underflows to 0 at eta = {bad!r}")
+    return z
 
 
 def _check_eta(eta) -> np.ndarray:
@@ -362,7 +369,10 @@ def _q9_terms(eta, params, consts, acc):
     yd = specfun._deriv_array(specfun._y_array, 0.25, z, 1, acc)
     dprime = consts.c1 * jd - consts.c2 * yd
     mm = _mass_scale(params)
-    pref = params.hbar**2 / (2.0 * params.m**2)
+    try:
+        pref = params.hbar**2 / (2.0 * params.m**2)
+    except OverflowError:  # m or hbar beyond ~1e154; the caller reports non-finite Q
+        pref = math.nan
     q = -pref * mm * mm * eta / 4.0 * (1.0 - z * dprime / d) / d
     # Newton estimate of the eta-distance to the nearest zero of D
     dz_deta = 2.0 * z / eta

@@ -93,6 +93,24 @@ class TestMatchPoles:
         for _, _, sep in matched.matched_poles:
             assert sep <= 1e-8
 
+    def test_first_zero_below_bracket_half_width(self):
+        # the first zero sits at z ~ 0.136 < 0.25, where z_star - 0.25 < 0;
+        # scipy's brentq on yv/jv puts it at eta = 0.6204456524027573
+        params = PhysicalParams(m=2.0)
+        consts = SolutionConstants(c1=3.0, c2=-1.0)
+        rs = find_zeros((0.1, 30.0), params, consts, max_roots=10)
+        matched = match_poles(rs, params, consts)
+        eta = matched.matched_poles[0][0]
+        z = params.m * eta * eta / (4.0 * SQ2)
+        assert z < 0.25
+        assert abs(eta - 0.62044565240) < 1e-9
+        p14 = BesselOrder(1)
+        num = consts.c2 * bessel_y(p14, z) - consts.c1 * bessel_j(p14, z)
+        assert abs(num) <= 1e-10 * math.hypot(consts.c1, consts.c2)
+        assert len(matched.matched_poles) == 10
+        for _, _, sep in matched.matched_poles:
+            assert sep <= 1e-6
+
     def test_empty_roots_rejected(self, params, consts):
         with pytest.raises(DomainError):
             match_poles(RootSet(()), params, consts)

@@ -1,12 +1,14 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from madelung import core
-from madelung.cli import CsvTable, main, parse_grid
+from madelung import cli, core
+from madelung.cli import CsvTable, RunConfig, emit, main, parse_grid
 from madelung.errors import DomainError
+from madelung.specfun import DEFAULT_ACCURACY
 
 import reference_values as ref
 
@@ -23,18 +25,93 @@ def run_cli(capsys, argv):
 class TestCsvTable:
     def test_round_trip_17_digits(self):
         values = [0.1, 1.0 / 3.0, math.pi, 1e-300, 6.0002282242149123, -2.5e17]
-        table = CsvTable(["v"], [(v,) for v in values])
+        table = CsvTable(["v"], [values])
         lines = table.render().strip().split("\n")[1:]
         for line, v in zip(lines, values):
             assert float(line) == v
 
     def test_sentinel_and_flags(self):
-        table = CsvTable(["a", "b", "flag"], [(1.0, None, "near_pole")])
+        table = CsvTable(["a", "b", "flag"], [[1.0], [None], ["near_pole"]])
         assert table.render() == "a,b,flag\n1,,near_pole\n"
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
-            CsvTable(["a", "b"], [(1.0,)]).render()
+            CsvTable(["a", "b"], [[1.0]]).render()
+
+
+def reference_csv(header, columns):
+    """Cell-by-cell formatter: format(v, ".17g"), and "" for None or NaN."""
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, str):
+            return v
+        v = float(v)
+        return "" if math.isnan(v) else format(v, ".17g")
+
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    SPECIALS = [-0.0, 0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.7976931348623157e308,
+                2.2250738585072014e-308, 3.0, -7.0, 1e16, 0.1, 1.0 / 3.0, -2.5e17]
+
+    @staticmethod
+    def file_config(path):
+        return RunConfig(core.PhysicalParams(m=1.0), core.SolutionConstants(c1=1.0, c2=1.0),
+                         DEFAULT_ACCURACY, output_path=str(path))
+
+    def columns(self, n):
+        chunk = cli.CHUNK_ROWS
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        a[:min(n, len(self.SPECIALS))] = self.SPECIALS[:n]
+        # blank cells at both ends and on both sides of the first chunk boundary
+        blanks = sorted({i for i in (0, chunk - 1, chunk, n - 1) if 0 <= i < n})
+        b = [float(v) for v in rng.uniform(-1.0, 1.0, n)]
+        c = np.arange(n, dtype=float)
+        flag = [""] * n
+        for i in blanks:
+            b[i] = None
+            c[i] = np.nan
+            flag[i] = "near_pole"
+        return ["a", "b", "index", "flag"], [a, b, c, flag]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_matches_reference_at_chunk_edges(self, tmp_path, offset):
+        header, cols = self.columns(cli.CHUNK_ROWS + offset)
+        expected = reference_csv(header, cols)
+        assert CsvTable(header, cols).render() == expected
+        out = tmp_path / "t.csv"
+        emit(CsvTable(header, cols), self.file_config(out))
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("n", [0, 1, len(SPECIALS)])
+    def test_short_tables(self, n):
+        header, cols = self.columns(n)
+        assert CsvTable(header, cols).render() == reference_csv(header, cols)
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            CsvTable(["a", "b"], [[1.0, 2.0], [1.0]]).render()
+
+    def test_emit_memory_bounded_by_chunks(self, tmp_path):
+        # 2e5 x 2 rows make ~7.9 MB of text; the writer may hold a few
+        # chunks at ~64 bytes per cell (list slot, float object, text), not
+        # the document
+        n = 200_000
+        eta = np.geomspace(0.1, 50.0, n)
+        f = np.sin(eta)
+        cfg = self.file_config(tmp_path / "big.csv")
+        tracemalloc.start()
+        try:
+            emit(CsvTable(["eta", "f"], [eta, f]), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").stat().st_size > 7_000_000
+        assert peak <= 4 * cli.CHUNK_ROWS * 2 * 64
 
 
 class TestGridGrammar:
@@ -342,12 +419,21 @@ class TestInputContract:
          "rho is not finite at x = 0.5, y = 0.0, t = 1.0"),
         (["--field", "psi_re", "--x", "0.5:1:3", "--t", "1"], "psi_re is not finite at x = 0.5"),
         (["--field", "f", "--eta", "1:2:2"], "f is not finite at eta = 1.0"),
+        (["--field", "Q", "--eta", "1:2:2"], "Q is not finite at eta = 1.0"),
     ])
     def test_nonfinite_output_exit_3_names_row(self, capsys, argv, where):
         code, out, err = run_cli(capsys, ["eval"] + argv + ["--m", "1e300"])
         assert code == 3
         assert out == ""
         assert where in err
+
+    @pytest.mark.parametrize("field", ["f", "Q"])
+    def test_eta_underflowing_z_exit_2(self, capsys, field):
+        code, out, err = run_cli(capsys, [
+            "eval", "--field", field, "--eta", "1e-200:1e-199:3"])
+        assert code == 2
+        assert out == ""
+        assert "underflows to 0 at eta = 1e-200" in err
 
     def test_fd_step_zero_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--which", "pde", "--fd-step", "0"])
