@@ -22,6 +22,7 @@ import numpy as np
 
 from . import specfun
 from .core import (
+    _QUARTER_PAIR,
     PhysicalParams,
     SolutionConstants,
     _numerator_factor,
@@ -117,8 +118,7 @@ def _d_fn(consts, acc):
     # bracket denominator of the printed quantum potential
     def fn(z):
         z = np.asarray(z, dtype=float)
-        j = specfun._j_array(0.25, z, acc)
-        y = specfun._y_array(0.25, z, acc)
+        j, y = specfun._jy(z, _QUARTER_PAIR, acc)
         return consts.c1 * j - consts.c2 * y
     return fn
 
@@ -174,15 +174,31 @@ def _refine_brackets(fn, lo, hi, width_tol):
 
 
 def _bracket_zeros(fn, z_lo, z_hi, max_brackets=None):
+    """Sign-change brackets of fn between adjacent scan-mesh points.
+
+    With max_brackets, the mesh is scanned in consecutive windows that share
+    their boundary point, and the scan stops once that many are found.
+    """
     mesh = _scan_mesh(z_lo, z_hi)
-    vals = fn(mesh)
-    sign = np.sign(vals)
-    change = sign[:-1] * sign[1:] < 0
-    hit = vals[:-1] == 0.0
-    idx = np.where(change | hit)[0]
-    if max_brackets is not None:
-        idx = idx[:max_brackets]
-    return mesh[idx], mesh[idx + 1]
+    last = len(mesh) - 1
+    los, his = [mesh[:0]], [mesh[:0]]
+    found = start = 0
+    while start < last and (max_brackets is None or found < max_brackets):
+        stop = last
+        if max_brackets is not None:
+            # four mesh steps per pi-spaced zero, plus 16 zeros to spare
+            stop = min(last, start + 4 * (max_brackets - found) + 64)
+        window = mesh[start:stop + 1]
+        vals = fn(window)
+        sign = np.sign(vals)
+        change = sign[:-1] * sign[1:] < 0
+        hit = vals[:-1] == 0.0
+        idx = np.where(change | hit)[0]
+        los.append(window[idx])
+        his.append(window[idx + 1])
+        found += len(idx)
+        start = stop
+    return np.concatenate(los)[:max_brackets], np.concatenate(his)[:max_brackets]
 
 
 def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
@@ -263,18 +279,8 @@ def _leggauss(n):
 
 
 def _c_squared(z, consts, acc):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    hi = z > acc.series_switchover
-    if np.any(hi):
-        j, y = specfun._jy_asymptotic(0.25, z[hi], acc)
-        w = consts.c2 * y - consts.c1 * j
-        out[hi] = w * w
-    lo = ~hi
-    if np.any(lo):
-        w = _numerator_factor(z[lo], consts, acc)
-        out[lo] = w * w
-    return out
+    w = _numerator_factor(np.asarray(z, dtype=float), consts, acc)
+    return w * w
 
 
 def _two_level(fn, a, b, nodes, weights):

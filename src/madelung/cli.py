@@ -456,7 +456,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        # overflow and 0/0 become inf/NaN cells, which require_finite turns
+        # into exit 3; numpy's RuntimeWarnings would only clutter stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg, args)
     except (RangeTooNarrow, UnmatchedRoot, ToleranceNotMet, NonFiniteOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

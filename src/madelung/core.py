@@ -190,24 +190,21 @@ def _check_eta(eta) -> np.ndarray:
     return arr
 
 
-def _bessel_pair(z, acc):
-    j = specfun._j_array(0.25, z, acc)
-    y = specfun._y_array(0.25, z, acc)
-    return j, y
+# J and Y of orders 1/4 and -3/4, as _jy requests
+_QUARTER_PAIR = (("J", 0.25, 0), ("Y", 0.25, 0))
+_FOUR_BESSELS = _QUARTER_PAIR + (("J", -0.75, 0), ("Y", -0.75, 0))
 
 
 def _numerator_factor(z, consts, acc):
     # c2 Y_{1/4}(z) - c1 J_{1/4}(z); its zeros are the zeros of the density
-    j, y = _bessel_pair(z, acc)
+    j, y = specfun._jy(z, _QUARTER_PAIR, acc)
     return consts.c2 * y - consts.c1 * j
 
 
 def _shape_density_arr(eta, params, consts, acc):
     z = _z_arg(eta, params)
-    j, y = _bessel_pair(z, acc)
+    j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
     num = 2.0 * (-consts.c1 * j + consts.c2 * y) ** 2
-    jm = specfun._j_array(-0.75, z, acc)
-    ym = specfun._y_array(-0.75, z, acc)
     cross = jm * y - j * ym
     mm = _mass_scale(params)
     return num / (eta**3 * mm * mm * cross * cross)
@@ -320,12 +317,19 @@ def density(p: LabPoint, params: PhysicalParams, consts: SolutionConstants,
 
 def velocity(p: LabPoint, params: PhysicalParams, consts: SolutionConstants):
     """(u, v) = (g(eta), h(eta))/sqrt(t); equals ((x+y)/(4t),)*2 for c0 = 0."""
-    return _at_point(("u", "v"), p, params, consts)
+    # the operations of lab_field on floats (LabPoint guarantees t > 0)
+    s = p.x + p.y
+    if not s > 0.0:
+        raise DomainError("x + y must be positive")
+    rt = math.sqrt(p.t)
+    g, h = shape_velocity_split(s / rt, consts)
+    return g / rt, h / rt
 
 
 def phase(p: LabPoint, params: PhysicalParams) -> float:
     """Wave-function phase S = (m/hbar) (x+y)^2 / (4t)."""
-    return _at_point(("S",), p, params, None)[0]
+    s = p.x + p.y
+    return params.m * s * s / (4.0 * params.hbar * p.t)
 
 
 def wavefunction_canonical(p: LabPoint, params: PhysicalParams,
@@ -348,9 +352,7 @@ def wavefunction_eq8(p: LabPoint, params: PhysicalParams,
     if not p.s > 0:
         raise DomainError("x + y must be positive")
     z = np.atleast_1d(_z_arg(p.s / math.sqrt(p.t), params))
-    j, y = _bessel_pair(z, acc)
-    jm = specfun._j_array(-0.75, z, acc)
-    ym = specfun._y_array(-0.75, z, acc)
+    j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
     cross = float((jm * y - j * ym)[0])
     num = math.sqrt(2.0) * p.t**0.25 * float((-consts.c1 * j + consts.c2 * y)[0])
     den = p.s**1.5 * _mass_scale(params) * cross
@@ -363,10 +365,9 @@ def _q9_terms(eta, params, consts, acc):
     # bracket denominator D(z) = c1 J_{1/4} - c2 Y_{1/4} and the analytic
     # eta-derivative of -eta^2 M^2 / (8 D)
     z = _z_arg(eta, params)
-    j, y = _bessel_pair(z, acc)
+    j, y, jd, yd = specfun._jy(
+        z, _QUARTER_PAIR + (("J", 0.25, 1), ("Y", 0.25, 1)), acc)
     d = consts.c1 * j - consts.c2 * y
-    jd = specfun._deriv_array(specfun._j_array, 0.25, z, 1, acc)
-    yd = specfun._deriv_array(specfun._y_array, 0.25, z, 1, acc)
     dprime = consts.c1 * jd - consts.c2 * yd
     mm = _mass_scale(params)
     try:

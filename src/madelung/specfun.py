@@ -13,6 +13,11 @@ Three evaluation regimes are used for the Bessel functions:
 * Hankel's large-argument expansion, truncated at its smallest term,
   above ``series_switchover``.
 
+One private evaluator, ``_jy``, serves every caller: it splits a z array
+into the regimes once and computes each series order, each ladder
+mu + n (mu = 1/4 or 3/4; one recurrence gives every shift n) and each
+Hankel order once, however many values and derivatives share them.
+
 All functions are pure and reentrant; identical inputs produce
 bit-identical outputs.
 """
@@ -189,13 +194,19 @@ def _j_series(nu: float, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
 # which holds for non-integer mu and sidesteps the cancellation entirely.
 
 
-def _j_downward(mu: float, j_lo: int, j_hi: int, z: np.ndarray, acc: EvalAccuracy):
-    """J_{mu+j}(z) for j in [j_lo, j_hi] via the normalized recurrence.
+def _abs_max(a: np.ndarray) -> float:
+    # exact max |a|; the downward recurrence calls it only once its running
+    # bound passes the rescale threshold
+    return float(np.max(np.abs(a)))
 
-    mu must lie in (0, 1); j_lo may be negative (small downward extension
-    below mu is stable for the orders used here).
+
+def _j_downward(mu: float, keep, z: np.ndarray, acc: EvalAccuracy):
+    """J_{mu+j}(z) for each j >= 0 in keep via the normalized recurrence.
+
+    mu must lie in (0, 1).
     """
     zmax = float(np.max(z))
+    zmin = float(np.min(z))
     nstart = int(zmax + 10.0 * math.sqrt(zmax) + 24.0)
     nstart += nstart % 2  # even, so the normalization sum ends on y_0
 
@@ -207,47 +218,56 @@ def _j_downward(mu: float, j_lo: int, j_hi: int, z: np.ndarray, acc: EvalAccurac
     inv_z2 = 2.0 / z
     y_up = np.zeros_like(z)
     y = np.full_like(z, 1e-30)
+    # upper bound on max(|y|, |y_up|): one step grows it at most by
+    # 2 |mu + j + 1| / zmin + 1, widened by 1e-12 for rounding, so the exact
+    # maximum is taken only on steps where it could pass 1e250
+    bound = 1e-30
     norm = np.zeros_like(z)
     saved = {}
     if nstart % 2 == 0:
         norm += (mu + nstart) * coeff[nstart // 2] * y
     # always recurse down to j = 0: the normalization sum needs every even
-    # index, whatever window of orders the caller asked for
-    for j in range(nstart - 1, min(j_lo, 0) - 1, -1):
+    # index, whatever orders the caller keeps
+    for j in range(nstart - 1, -1, -1):
         y_dn = (mu + j + 1.0) * inv_z2 * y - y_up
         y_up = y
         y = y_dn
-        if j >= 0 and j % 2 == 0:
+        if j % 2 == 0:
             norm += (mu + j) * coeff[j // 2] * y
-        if j_lo <= j <= j_hi:
+        if j in keep:
             saved[j] = y
-        big = np.max(np.abs(y))
-        if big > 1e250:
-            y *= 1e-250
-            y_up *= 1e-250
-            norm *= 1e-250
-            for key in saved:
-                saved[key] = saved[key] * 1e-250
+        bound *= (2.0 * abs(mu + j + 1.0) / zmin + 1.0) * (1.0 + 1e-12)
+        if bound > 1e250:
+            if _abs_max(y) > 1e250:
+                y *= 1e-250
+                y_up *= 1e-250
+                norm *= 1e-250
+                for key in saved:
+                    saved[key] = saved[key] * 1e-250
+            bound = max(_abs_max(y), _abs_max(y_up))
     factor = (0.5 * z) ** mu / norm
     return {j: saved[j] * factor for j in saved}
 
 
-def _j_recurrence(nu: float, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
-    """J_nu for _SERIES_MAX < z <= switchover, any odd quarter order nu."""
-    shift = math.floor(nu)
-    mu = nu - shift  # in {1/4, 3/4}
-    if shift >= 0:
-        return _j_downward(mu, shift, shift, z, acc)[shift]
-    # negative orders: extend below mu with the same (stable) recurrence
-    vals = _j_downward(mu, 0, 1, z, acc)
-    y_up, y = vals[1], vals[0]
-    order = mu
-    for _ in range(-shift):
-        y_dn = (2.0 * order / z) * y - y_up
-        y_up = y
-        y = y_dn
-        order -= 1.0
-    return y
+def _j_ladder(mu: float, shifts, z: np.ndarray, acc: EvalAccuracy) -> dict:
+    """J_{mu+n}(z) for every integer shift n in shifts, from one recurrence.
+
+    For _SERIES_MAX < z <= switchover and mu in {1/4, 3/4}.  Negative shifts
+    extend below mu with the same (stable) recurrence after normalization.
+    """
+    low = min(shifts)
+    keep = {n for n in shifts if n >= 0} | ({0, 1} if low < 0 else set())
+    vals = _j_downward(mu, keep, z, acc)
+    if low < 0:
+        y_up, y = vals[1], vals[0]
+        order = mu
+        for n in range(-1, low - 1, -1):
+            y_dn = (2.0 * order / z) * y - y_up
+            y_up = y
+            y = y_dn
+            order -= 1.0
+            vals[n] = y
+    return {n: vals[n] for n in shifts}
 
 
 # ---------------------------------------------------------------------------
@@ -298,41 +318,80 @@ def _jy_asymptotic(nu: float, z: np.ndarray, acc: EvalAccuracy):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# one evaluator for every order a caller needs
 
 
-def _j_array(nu: float, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
-    out = np.empty_like(z)
+def _orders(nu: float, k: int):
+    # orders of the k-th derivative's order-shift combination, in its
+    # coefficient order: C^(k)_nu = 2^-k sum_i (-1)^i binom(k, i) C_{nu - k + 2i}
+    return [nu - k + 2 * i for i in range(k + 1)]
+
+
+def _jy(z: np.ndarray, wanted, acc: EvalAccuracy) -> list:
+    """J_nu, Y_nu and their derivatives on one z array, sharing the work.
+
+    wanted holds (kind, nu, k) triples: the k-th derivative (k = 0 for the
+    value, else 1, 2 or 3) of J_nu for kind "J" or of Y_nu for kind "Y".
+    Returns one array per triple.  z is split into the three regimes once;
+    then each series order, each ladder mu + n (one downward recurrence per
+    mu) and each Hankel order is computed once, and only the orders the
+    triples need are kept.  Y comes from J_{+-nu} by the connection formula
+    in the convergent regimes and from the Hankel expansion beyond them.
+    """
+    j_orders, y_orders = set(), set()
+    for kind, nu, k in wanted:
+        (j_orders if kind == "J" else y_orders).update(_orders(nu, k))
+    kept = j_orders | y_orders
+    # J_{-nu} of every Y order is needed on the convergent points only
+    conv_orders = kept | {-nu for nu in y_orders}
     cut = min(_SERIES_MAX, acc.series_switchover)
     lo = z <= cut
     mid = (z > cut) & (z <= acc.series_switchover)
     hi = z > acc.series_switchover
+    conv = ~hi
+    jv = {nu: np.zeros_like(z) for nu in sorted(conv_orders)}
     if np.any(lo):
-        out[lo] = _j_series(nu, z[lo], acc)
+        zl = z[lo]
+        for nu, arr in jv.items():
+            arr[lo] = _j_series(nu, zl, acc)
     if np.any(mid):
-        out[mid] = _j_recurrence(nu, z[mid], acc)
+        zm = z[mid]
+        ladders = {}
+        for nu in jv:
+            shift = math.floor(nu)
+            ladders.setdefault(nu - shift, []).append(shift)
+        for mu, shifts in ladders.items():
+            for shift, val in _j_ladder(mu, shifts, zm, acc).items():
+                jv[mu + shift][mid] = val
+    yv = {nu: np.empty_like(z) for nu in sorted(y_orders)}
     if np.any(hi):
-        out[hi] = _jy_asymptotic(nu, z[hi], acc)[0]
-    return out
-
-
-def _y_array(nu: float, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
-    out = np.empty_like(z)
-    conv = z <= acc.series_switchover
-    hi = ~conv
+        zh = z[hi]
+        for nu in sorted(kept):
+            jh, yh = _jy_asymptotic(nu, zh, acc)
+            jv[nu][hi] = jh
+            if nu in yv:
+                yv[nu][hi] = yh
     if np.any(conv):
-        # connection formula; the quarter orders are never integers, so
-        # sin(pi nu) is bounded away from zero
-        zc = z[conv]
-        jp = _j_array(nu, zc, acc)
-        jm = _j_array(-nu, zc, acc)
-        quarters = round(4.0 * nu)
-        cosv = math.cos(math.pi * quarters / 4.0)
-        sinv = _sinpi(quarters / 4.0)
-        out[conv] = (jp * cosv - jm) / sinv
-    if np.any(hi):
-        out[hi] = _jy_asymptotic(nu, z[hi], acc)[1]
-    return out
+        for nu, out in yv.items():
+            # connection formula; the quarter orders are never integers, so
+            # sin(pi nu) is bounded away from zero
+            quarters = round(4.0 * nu)
+            cosv = math.cos(math.pi * quarters / 4.0)
+            sinv = _sinpi(quarters / 4.0)
+            out[conv] = (jv[nu][conv] * cosv - jv[-nu][conv]) / sinv
+            if -nu not in kept:
+                del jv[-nu]  # served only this Y
+    results = []
+    for kind, nu, k in wanted:
+        values = jv if kind == "J" else yv
+        if k == 0:
+            results.append(values[nu])
+            continue
+        total = np.zeros_like(z)
+        for i, order in enumerate(_orders(nu, k)):
+            total += (-1.0) ** i * math.comb(k, i) * values[order]
+        results.append(total / 2.0**k)
+    return results
 
 
 def _check_z(z) -> np.ndarray:
@@ -360,7 +419,7 @@ def bessel_j(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
     """
     scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
     arr = np.atleast_1d(_check_z(z))
-    return _as_output(_j_array(nu.value, arr, acc), scalar)
+    return _as_output(_jy(arr, [("J", nu.value, 0)], acc)[0], scalar)
 
 
 def bessel_y(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
@@ -372,32 +431,25 @@ def bessel_y(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
     """
     scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
     arr = np.atleast_1d(_check_z(z))
-    return _as_output(_y_array(nu.value, arr, acc), scalar)
+    return _as_output(_jy(arr, [("Y", nu.value, 0)], acc)[0], scalar)
 
 
-def _deriv_array(fn, nu: float, z: np.ndarray, k: int, acc: EvalAccuracy) -> np.ndarray:
-    # k-th derivative through the order-shift recurrence:
-    # C^(k)_nu = 2^-k sum_j (-1)^j binom(k, j) C_{nu - k + 2j}
+def _deriv(kind: str, nu: BesselOrder, z, k: int, acc: EvalAccuracy):
+    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
+    arr = np.atleast_1d(_check_z(z))
     if k not in (1, 2, 3):
         raise DomainError("derivative order must be 1, 2 or 3")
-    total = np.zeros_like(z)
-    for j in range(k + 1):
-        total += (-1.0) ** j * math.comb(k, j) * fn(nu - k + 2 * j, z, acc)
-    return total / 2.0**k
+    return _as_output(_jy(arr, [(kind, nu.value, k)], acc)[0], scalar)
 
 
 def bessel_j_deriv(nu: BesselOrder, z, k: int, acc: EvalAccuracy = DEFAULT_ACCURACY):
     """k-th derivative of J_nu (k = 1, 2, 3) via the order recurrence."""
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    arr = np.atleast_1d(_check_z(z))
-    return _as_output(_deriv_array(_j_array, nu.value, arr, k, acc), scalar)
+    return _deriv("J", nu, z, k, acc)
 
 
 def bessel_y_deriv(nu: BesselOrder, z, k: int, acc: EvalAccuracy = DEFAULT_ACCURACY):
     """k-th derivative of Y_nu (k = 1, 2, 3) via the order recurrence."""
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    arr = np.atleast_1d(_check_z(z))
-    return _as_output(_deriv_array(_y_array, nu.value, arr, k, acc), scalar)
+    return _deriv("Y", nu, z, k, acc)
 
 
 def cross_product(z, acc: EvalAccuracy = DEFAULT_ACCURACY):
@@ -408,8 +460,6 @@ def cross_product(z, acc: EvalAccuracy = DEFAULT_ACCURACY):
     """
     scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
     arr = np.atleast_1d(_check_z(z))
-    jm = _j_array(-0.75, arr, acc)
-    jp = _j_array(0.25, arr, acc)
-    ym = _y_array(-0.75, arr, acc)
-    yp = _y_array(0.25, arr, acc)
+    jm, jp, ym, yp = _jy(arr, [("J", -0.75, 0), ("J", 0.25, 0),
+                               ("Y", -0.75, 0), ("Y", 0.25, 0)], acc)
     return _as_output(jm * yp - jp * ym, scalar)

@@ -21,10 +21,11 @@ import numpy as np
 
 from . import specfun
 from .core import (
+    _FOUR_BESSELS,
+    _QUARTER_PAIR,
     PhysicalParams,
     SolutionConstants,
     _mass_scale,
-    _numerator_factor,
     _simplified_shape_density_arr,
     _z_arg,
 )
@@ -127,12 +128,9 @@ class OdeState:
 def _cylinder_derivs(z, consts, acc, upto):
     """w = c2 Y_{1/4} - c1 J_{1/4} and d/dz derivatives through order `upto`,
     each obtained from the order-shift recurrences."""
-    out = [_numerator_factor(z, consts, acc)]
-    for k in range(1, upto + 1):
-        jk = specfun._deriv_array(specfun._j_array, 0.25, z, k, acc)
-        yk = specfun._deriv_array(specfun._y_array, 0.25, z, k, acc)
-        out.append(consts.c2 * yk - consts.c1 * jk)
-    return out
+    vals = specfun._jy(z, [(kind, 0.25, k) for k in range(upto + 1)
+                           for kind in ("J", "Y")], acc)
+    return [consts.c2 * yk - consts.c1 * jk for jk, yk in zip(vals[::2], vals[1::2])]
 
 
 def shape_derivatives(eta, params, consts, acc=DEFAULT_ACCURACY, upto=2):
@@ -167,9 +165,9 @@ def _zero_distance(eta, params, consts, acc):
     plus the local half-oscillation width pi/(dz/deta)."""
     eta = np.asarray(eta, dtype=float)
     z = _z_arg(eta, params)
-    w = _numerator_factor(z, consts, acc)
-    w1 = (specfun._deriv_array(specfun._j_array, 0.25, z, 1, acc) * (-consts.c1)
-          + specfun._deriv_array(specfun._y_array, 0.25, z, 1, acc) * consts.c2)
+    j, y, j1, y1 = specfun._jy(z, _QUARTER_PAIR + (("J", 0.25, 1), ("Y", 0.25, 1)), acc)
+    w = consts.c2 * y - consts.c1 * j
+    w1 = j1 * (-consts.c1) + y1 * consts.c2
     dz_deta = 2.0 * z / eta
     dist = np.abs(w / (w1 * dz_deta + 1e-300))
     return dist, np.pi / dz_deta
@@ -400,10 +398,7 @@ def _psi_arr(x, y, t, params, consts, acc, use_eq8):
     ph = params.m * s * s / (4.0 * params.hbar * t)
     if use_eq8:
         z = _z_arg(eta, params)
-        j = specfun._j_array(0.25, z, acc)
-        yv = specfun._y_array(0.25, z, acc)
-        jm = specfun._j_array(-0.75, z, acc)
-        ym = specfun._y_array(-0.75, z, acc)
+        j, yv, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
         cross = jm * yv - j * ym
         num = math.sqrt(2.0) * t**0.25 * (-consts.c1 * j + consts.c2 * yv)
         modulus = num / (s**1.5 * _mass_scale(params) * cross)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from madelung import analysis
 from madelung.analysis import (
     QuadratureResult,
     RootSet,
@@ -14,12 +15,15 @@ from madelung.analysis import (
 )
 from madelung.core import PhysicalParams, SolutionConstants
 from madelung.errors import DomainError, RangeTooNarrow
-from madelung.specfun import BesselOrder, bessel_j, bessel_y
+from madelung.specfun import DEFAULT_ACCURACY, BesselOrder, bessel_j, bessel_y
 from madelung.verify import GridSpec
 
 import reference_values as ref
 
 SQ2 = math.sqrt(2.0)
+# the five parameter sets (m, c1, c2) of the acceptance tests
+ACCEPTANCE_SETS = ((1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 0.0),
+                   (1.0, 0.0, 1.0), (2.0, 3.0, -1.0))
 
 
 class TestFindZeros:
@@ -79,6 +83,43 @@ class TestFindZeros:
             find_zeros((-1.0, 2.0), params, consts)
         with pytest.raises(DomainError):
             find_zeros((3.0, 2.0), params, consts)
+
+    @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
+    @pytest.mark.parametrize("eta_hi,max_brackets", [(30.0, 1), (30.0, 10), (300.0, 10),
+                                                     (300.0, 1000), (300.0, None)])
+    def test_windowed_scan_equals_full_mesh_scan(self, m, c1, c2, eta_hi, max_brackets):
+        params = PhysicalParams(m=m)
+        consts = SolutionConstants(c1=c1, c2=c2)
+        k = m / (4.0 * SQ2)
+        z_lo, z_hi = k * 0.1**2, k * eta_hi**2
+        fn = analysis._c_fn(consts, DEFAULT_ACCURACY)
+        # the scan as a single evaluation of the whole mesh
+        mesh = analysis._scan_mesh(z_lo, z_hi)
+        vals = fn(mesh)
+        sign = np.sign(vals)
+        idx = np.where((sign[:-1] * sign[1:] < 0) | (vals[:-1] == 0.0))[0][:max_brackets]
+        b_lo, b_hi = analysis._bracket_zeros(fn, z_lo, z_hi, max_brackets)
+        assert np.array_equal(b_lo, mesh[idx]) and np.array_equal(b_hi, mesh[idx + 1])
+        assert max_brackets is None or len(b_lo) == max_brackets
+
+    def test_scan_stops_once_max_roots_are_bracketed(self, params, consts, monkeypatch):
+        # the (0.1, 3000) eta range holds ~2e6 mesh points in z
+        points = []
+        real = analysis._c_fn
+
+        def counting(consts, acc):
+            fn = real(consts, acc)
+
+            def wrapped(z):
+                points.append(np.size(z))
+                return fn(z)
+            return wrapped
+
+        monkeypatch.setattr(analysis, "_c_fn", counting)
+        rs = find_zeros((0.1, 3000.0), params, consts, max_roots=10)
+        for (eta, _), expected in zip(rs.roots, ref.ROOT_ETAS):
+            assert abs(eta - expected) < 1e-9
+        assert sum(points) < 2000
 
 
 class TestMatchPoles:

@@ -427,6 +427,18 @@ class TestInputContract:
         assert out == ""
         assert where in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,line", [
+        (["--field", "Q", "--m", "1e200"], "error: Q is not finite at eta = 0.5\n"),
+        (["--field", "f", "--m", "1e300"], "error: f is not finite at eta = 0.5\n"),
+    ], ids=["Q", "f"])
+    def test_nonfinite_output_leaves_only_the_error_line(self, capsys, argv, line):
+        # numpy's overflow and divide-by-zero warnings must not reach stderr
+        code, out, err = run_cli(capsys, ["eval", "--eta", "0.5:10:20"] + argv)
+        assert code == 3
+        assert out == ""
+        assert err == line
+
     @pytest.mark.parametrize("field", ["f", "Q"])
     def test_eta_underflowing_z_exit_2(self, capsys, field):
         code, out, err = run_cli(capsys, [

@@ -333,6 +333,34 @@ class TestLabFieldArray:
             want = [fn(LabPoint(*pt)) for pt in zip(x.ravel(), y.ravel(), t.ravel())]
             assert out.ravel().tolist() == want
 
+    # the points and parameters the scalar velocity and phase tests use
+    POINTS = [(1.0, 1.0, 1.0), (1.2, 2.3, 2.0), (1.0, 1.0, 1e12), (1.5, 0.5, 1.0),
+              (0.4, 0.6, 0.7), (0.8, 1.2, 2.8), (0.5, 0.5, 1.0), (1.0, 2.0, 0.7),
+              (3.0, 1.0, 5.0), (9.0, 4.0, 1.1), (0.3, 0.6, 1.9), (13.0, 0.0, 0.8)]
+    PARAMS = [PhysicalParams(m=1.0), PhysicalParams(m=3.0), PhysicalParams(m=1.0, hbar=2.0),
+              PhysicalParams(m=1.5, hbar=0.7, dimension=3)]
+    CONSTS = [SolutionConstants(1.0, 1.0), SolutionConstants(c1=0.4, c2=-1.2, c0=0.3),
+              SolutionConstants(1.0, 1.0, c0=2.0)]
+
+    def test_scalar_velocity_and_phase_bit_equal_to_lab_field(self):
+        def hexes(name, pt, prm, cst):
+            x, y, t = (np.array([v]) for v in pt)
+            return float(lab_field(name, x, y, t, prm, cst)[0]).hex()
+
+        for pt in self.POINTS + [(1.0, -1.0, 3.0), (-2.0, 0.5, 1.0)]:
+            for prm in self.PARAMS:
+                assert phase(LabPoint(*pt), prm).hex() == hexes("S", pt, prm, None)
+                for cst in self.CONSTS:
+                    if pt[0] + pt[1] <= 0.0:
+                        with pytest.raises(DomainError, match="x \\+ y must be positive"):
+                            velocity(LabPoint(*pt), prm, cst)
+                        with pytest.raises(DomainError, match="x \\+ y must be positive"):
+                            lab_field("u", *pt, prm, cst)
+                        continue
+                    u, v = velocity(LabPoint(*pt), prm, cst)
+                    assert (u.hex(), v.hex()) == (hexes("u", pt, prm, cst),
+                                                  hexes("v", pt, prm, cst))
+
     def test_psi_modulus_squared_is_rho(self, params, consts):
         rho = lab_field("rho", self.XS, self.YS, self.TS, params, consts)
         re = lab_field("psi_re", self.XS, self.YS, self.TS, params, consts)
