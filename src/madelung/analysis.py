@@ -1,8 +1,14 @@
 """Zeros of the density, pole matching, and integrability analysis.
 
 Root finding works in the Bessel argument z = m eta^2 / (4 hbar sqrt(d)),
-where the zeros of the numerator factor c2 Y_{1/4} - c1 J_{1/4} are
-asymptotically pi-spaced, and maps the results back to eta.  The
+where the zeros of the numerator factor w = c2 Y_{1/4} - c1 J_{1/4} are
+asymptotically pi-spaced, and maps the results back to eta.  Sign-change
+brackets from a scan are refined together by safeguarded Newton with the
+analytic derivative w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z), from
+C'_nu = C_{nu-1} - (nu/z) C_nu (DLMF 10.6.2); one evaluator request gives
+w and w', and a set of brackets takes about five evaluations.  The
+potential's bracket denominator D = c1 J_{1/4} - c2 Y_{1/4} is -w, so
+pole matching runs the same Newton on D from each zero it checks.  The
 quadrature for the running integral of the density shape function uses
 the same variable: with f = (pi^2/64) eta w(z)^2,
 
@@ -22,6 +28,7 @@ import numpy as np
 
 from . import specfun
 from .core import (
+    _FOUR_BESSELS,
     _QUARTER_PAIR,
     PhysicalParams,
     SolutionConstants,
@@ -114,6 +121,16 @@ def _c_fn(consts, acc):
     return fn
 
 
+def _c_slope_fn(consts, acc):
+    # w = c2 Y_{1/4} - c1 J_{1/4} and w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z)
+    # (DLMF 10.6.2: C'_nu = C_{nu-1} - (nu/z) C_nu) from one request
+    def fn(z):
+        j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
+        w = consts.c2 * y - consts.c1 * j
+        return w, consts.c2 * ym - consts.c1 * jm - w / (4.0 * z)
+    return fn
+
+
 def _d_fn(consts, acc):
     # bracket denominator of the printed quantum potential
     def fn(z):
@@ -142,46 +159,54 @@ def _scan_mesh(z_lo: float, z_hi: float) -> np.ndarray:
     return np.unique(mesh)
 
 
-def _refine_brackets(fn, lo, hi, width_tol):
-    """Hybrid secant/bisection refinement of sign-change brackets (vectorized).
+def _refine_brackets(fn, lo, hi, sign_lo, z, width_tol):
+    """Safeguarded Newton refinement of sign-change brackets (vectorized).
 
-    Every third step forces a midpoint split, so the bracket width shrinks
-    geometrically even when the secant proposals stall.
+    fn(z) returns the function and its derivative; sign_lo is the sign of
+    the function at each lo, and z each bracket's starting point.  Each
+    step evaluates the open brackets at their current points only and
+    keeps the side that holds the sign change.  The next point is the
+    Newton point when it lies in the bracket, else the midpoint; a Newton
+    point within half the tolerance of an end moves to half the tolerance
+    inside it, just past the predicted root, so that one more evaluation
+    closes the bracket.  A bracket is closed at a width of
+    max(width_tol, 2 ulp(hi)): above z = 4096 the float spacing alone
+    exceeds 1e-12.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    flo = fn(lo)
-    fhi = fn(hi)
-    for it in range(80):
-        width = hi - lo
-        if np.all(width <= width_tol):
+    z = np.array(z, dtype=float)
+    for _ in range(80):
+        tol = np.maximum(width_tol, 2.0 * np.spacing(hi))
+        idx = np.flatnonzero(hi - lo > tol)
+        if len(idx) == 0:
             break
-        if it % 3 == 2:
-            cand = 0.5 * (lo + hi)
-        else:
-            denom = fhi - flo
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = (lo * fhi - hi * flo) / denom
-            bad = ~np.isfinite(cand) | (cand <= lo + 0.01 * width) | (cand >= hi - 0.01 * width)
-            cand = np.where(bad, 0.5 * (lo + hi), cand)
-        fc = fn(cand)
-        take_hi = flo * fc <= 0.0
-        hi = np.where(take_hi, cand, hi)
-        fhi = np.where(take_hi, fc, fhi)
-        lo = np.where(take_hi, lo, cand)
-        flo = np.where(take_hi, flo, fc)
+        zi, a, b, half = z[idx], lo[idx], hi[idx], 0.5 * tol[idx]
+        f, fprime = fn(zi)
+        take_hi = sign_lo[idx] * f <= 0.0
+        b = np.where(take_hi, zi, b)
+        a = np.where(take_hi, a, zi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = zi - f / fprime
+        # a non-finite Newton point fails both comparisons
+        inside = (newton >= a) & (newton <= b)
+        z[idx] = np.where(inside, np.clip(newton, a + half, b - half), 0.5 * (a + b))
+        lo[idx], hi[idx] = a, b
     return lo, hi
 
 
 def _bracket_zeros(fn, z_lo, z_hi, max_brackets=None):
     """Sign-change brackets of fn between adjacent scan-mesh points.
 
-    With max_brackets, the mesh is scanned in consecutive windows that share
-    their boundary point, and the scan stops once that many are found.
+    Returns the bracket ends lo and hi, the sign of fn at lo and the
+    regula-falsi point of the two scan values, which starts the
+    refinement.  With max_brackets, the mesh is scanned in consecutive
+    windows that share their boundary point, and the scan stops once that
+    many are found.
     """
     mesh = _scan_mesh(z_lo, z_hi)
     last = len(mesh) - 1
-    los, his = [mesh[:0]], [mesh[:0]]
+    los, his, signs, starts = [mesh[:0]], [mesh[:0]], [mesh[:0]], [mesh[:0]]
     found = start = 0
     while start < last and (max_brackets is None or found < max_brackets):
         stop = last
@@ -194,11 +219,14 @@ def _bracket_zeros(fn, z_lo, z_hi, max_brackets=None):
         change = sign[:-1] * sign[1:] < 0
         hit = vals[:-1] == 0.0
         idx = np.where(change | hit)[0]
-        los.append(window[idx])
-        his.append(window[idx + 1])
+        a, b, fa, fb = window[idx], window[idx + 1], vals[idx], vals[idx + 1]
+        los.append(a)
+        his.append(b)
+        signs.append(np.sign(fa))
+        starts.append(a + (b - a) * (fa / (fa - fb)))
         found += len(idx)
         start = stop
-    return np.concatenate(los)[:max_brackets], np.concatenate(his)[:max_brackets]
+    return tuple(np.concatenate(p)[:max_brackets] for p in (los, his, signs, starts))
 
 
 def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
@@ -206,10 +234,11 @@ def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
                acc: EvalAccuracy = DEFAULT_ACCURACY) -> RootSet:
     """Locate zeros of the density shape function on an eta range.
 
-    Scans sign changes of c2 Y_{1/4}(z) - c1 J_{1/4}(z) on a z mesh,
-    refines each bracket to a z-width of at most 1e-12 and converts the
-    roots back to eta.  Raises RangeTooNarrow when roots were requested
-    but no sign change lies in the range.
+    Scans sign changes of w = c2 Y_{1/4}(z) - c1 J_{1/4}(z) on a z mesh,
+    refines each bracket by safeguarded Newton with the analytic w' to a
+    z-width of at most 1e-12 (or two float spacings, where those are
+    wider) and converts the roots back to eta.  Raises RangeTooNarrow when
+    roots were requested but no sign change lies in the range.
     """
     lo, hi = float(range_eta[0]), float(range_eta[1])
     if not (0.0 < lo < hi):
@@ -217,15 +246,16 @@ def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
     if max_roots < 0:
         raise DomainError("max_roots must be nonnegative")
     k = _k_const(params)
-    fn = _c_fn(consts, acc)
-    b_lo, b_hi = _bracket_zeros(fn, k * lo * lo, k * hi * hi, max_roots or None)
+    b_lo, b_hi, sign_lo, start = _bracket_zeros(
+        _c_fn(consts, acc), k * lo * lo, k * hi * hi, max_roots or None)
     if len(b_lo) == 0:
         if max_roots > 0:
             raise RangeTooNarrow(f"no density zero inside eta range ({lo}, {hi})")
         return RootSet(())
     # keep the eta-width at or below 1e-10 even for small k
     wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(b_lo[0])))
-    z_a, z_b = _refine_brackets(fn, b_lo, b_hi, wtol)
+    z_a, z_b = _refine_brackets(_c_slope_fn(consts, acc), b_lo, b_hi, sign_lo,
+                                start, wtol)
     z_star = 0.5 * (z_a + z_b)
     eta_star = np.sqrt(z_star / k)
     widths = (z_b - z_a) / (2.0 * np.sqrt(k * z_star))
@@ -237,15 +267,16 @@ def match_poles(roots: RootSet, params: PhysicalParams,
                 acc: EvalAccuracy = DEFAULT_ACCURACY) -> RootSet:
     """Pair each density zero with the nearest quantum-potential pole.
 
-    The pole locus is found by an independent bracketed search on the
-    printed bracket denominator c1 J_{1/4} - c2 Y_{1/4}; the printed sign
-    convention is not trusted.  Raises UnmatchedRoot when a separation
-    exceeds 1e-6.
+    The printed bracket denominator D = c1 J_{1/4} - c2 Y_{1/4} of the
+    quantum potential is -w, so its zeros are the density zeros.  Each
+    zero is checked, not assumed: D must change sign across z_star -+ 0.25,
+    and safeguarded Newton on D, started at z_star and kept inside that
+    bracket, locates the pole.  Raises UnmatchedRoot when a bracket holds
+    no sign change or a separation exceeds 1e-6.
     """
     if not roots.roots:
         raise DomainError("root set is empty")
     k = _k_const(params)
-    fn = _d_fn(consts, acc)
     eta_star = roots.etas()
     z_star = k * eta_star * eta_star
     delta = 0.25
@@ -253,14 +284,15 @@ def match_poles(roots: RootSet, params: PhysicalParams,
     # its bracket's lower end at z_star / 2
     lo = np.maximum(z_star - delta, 0.5 * z_star)
     hi = z_star + delta
-    flo = fn(lo)
-    fhi = fn(hi)
+    flo, fhi = np.split(_d_fn(consts, acc)(np.concatenate([lo, hi])), 2)
     bad = flo * fhi > 0
     if np.any(bad):
         raise UnmatchedRoot(
             f"no pole bracket near eta = {float(eta_star[bad][0])!r}")
     wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(z_star[0])))
-    z_a, z_b = _refine_brackets(fn, lo, hi, wtol)
+    # Newton on D = -w steps as Newton on w does, with the sign at lo negated
+    z_a, z_b = _refine_brackets(_c_slope_fn(consts, acc), lo, hi, -np.sign(flo),
+                                z_star, wtol)
     eta_pole = np.sqrt(0.5 * (z_a + z_b) / k)
     sep = np.abs(eta_pole - eta_star)
     if np.any(sep > 1e-6):
@@ -483,10 +515,11 @@ def integrate_density(upper_limits, params: PhysicalParams,
     k = _k_const(params)
     pref = math.pi**2 / (128.0 * k)
     z_cps = [k * h * h for h in checkpoints]
-    fn = _c_fn(consts, acc)
-    b_lo, b_hi = _bracket_zeros(fn, 1e-8, min(z_cps[-1], _TAIL_START))
+    b_lo, b_hi, sign_lo, start = _bracket_zeros(
+        _c_fn(consts, acc), 1e-8, min(z_cps[-1], _TAIL_START))
     if len(b_lo):
-        z_a, z_b = _refine_brackets(fn, b_lo, b_hi, 1e-10)
+        z_a, z_b = _refine_brackets(_c_slope_fn(consts, acc), b_lo, b_hi, sign_lo,
+                                    start, 1e-10)
         zero_edges = 0.5 * (z_a + z_b)
     else:
         zero_edges = np.empty(0)

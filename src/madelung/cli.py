@@ -83,30 +83,25 @@ class CsvTable:
         if any(c.ndim != 1 or len(c) != nrows for c in cols):
             raise ValueError("ragged csv table: columns differ in length")
         fmts = ["%s" if c.dtype.kind == "U" else "%.17g" for c in cols]
-        row_fmt = ",".join(fmts) + "\n"
-        ncols = len(cols)
         fh.write(",".join(self.header) + "\n")
         for lo in range(0, nrows, CHUNK_ROWS):
             chunk = [c[lo:lo + CHUNK_ROWS] for c in cols]
             n = len(chunk[0])
-            cells = [None] * (n * ncols)
+            blank = np.zeros((n, len(cols)), dtype=bool)
             for j, c in enumerate(chunk):
-                cells[j::ncols] = c.tolist()
-            blank = np.zeros(n, dtype=bool)
-            for c in chunk:
                 if c.dtype.kind != "U":
-                    blank |= np.isnan(c)
-            # runs of complete rows take one % each; a row with a blank
-            # cell is formatted cell by cell
-            start = 0
-            for r in np.flatnonzero(blank).tolist() + [n]:
-                if r > start:
-                    fh.write(row_fmt * (r - start) % tuple(cells[start * ncols:r * ncols]))
-                if r < n:
-                    row = cells[r * ncols:(r + 1) * ncols]
-                    fh.write(",".join("" if v != v else f % v
-                                      for f, v in zip(fmts, row)) + "\n")
-                start = r + 1
+                    blank[:, j] = np.isnan(c)
+            # each run of rows with the same blank cells takes one % on a
+            # row format that has empty fields in the blank positions
+            cuts = (np.flatnonzero(np.any(blank[1:] != blank[:-1], axis=1)) + 1).tolist()
+            for start, stop in zip([0] + cuts, cuts + [n]):
+                mask = blank[start].tolist()
+                row_fmt = ",".join("" if b else f for f, b in zip(fmts, mask)) + "\n"
+                kept = [c[start:stop] for c, b in zip(chunk, mask) if not b]
+                cells = [None] * ((stop - start) * len(kept))
+                for j, c in enumerate(kept):
+                    cells[j::len(kept)] = c.tolist()
+                fh.write(row_fmt * (stop - start) % tuple(cells))
 
     def render(self) -> str:
         buf = io.StringIO()

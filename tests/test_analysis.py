@@ -98,8 +98,10 @@ class TestFindZeros:
         vals = fn(mesh)
         sign = np.sign(vals)
         idx = np.where((sign[:-1] * sign[1:] < 0) | (vals[:-1] == 0.0))[0][:max_brackets]
-        b_lo, b_hi = analysis._bracket_zeros(fn, z_lo, z_hi, max_brackets)
+        b_lo, b_hi, sign_lo, start = analysis._bracket_zeros(fn, z_lo, z_hi, max_brackets)
         assert np.array_equal(b_lo, mesh[idx]) and np.array_equal(b_hi, mesh[idx + 1])
+        assert np.array_equal(sign_lo, sign[idx])
+        assert np.all((b_lo <= start) & (start < b_hi))
         assert max_brackets is None or len(b_lo) == max_brackets
 
     def test_scan_stops_once_max_roots_are_bracketed(self, params, consts, monkeypatch):
@@ -155,6 +157,138 @@ class TestMatchPoles:
     def test_empty_roots_rejected(self, params, consts):
         with pytest.raises(DomainError):
             match_poles(RootSet(()), params, consts)
+
+
+def regula_falsi_reference(fn, lo, hi, width_tol):
+    """Hybrid secant/bisection refinement of sign-change brackets (vectorized).
+
+    The refinement that safeguarded Newton replaced, kept as its reference:
+    every third step forces a midpoint split, so the bracket width shrinks
+    geometrically even when the secant proposals stall.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    flo = fn(lo)
+    fhi = fn(hi)
+    for it in range(80):
+        width = hi - lo
+        if np.all(width <= width_tol):
+            break
+        if it % 3 == 2:
+            cand = 0.5 * (lo + hi)
+        else:
+            denom = fhi - flo
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = (lo * fhi - hi * flo) / denom
+            bad = ~np.isfinite(cand) | (cand <= lo + 0.01 * width) | (cand >= hi - 0.01 * width)
+            cand = np.where(bad, 0.5 * (lo + hi), cand)
+        fc = fn(cand)
+        take_hi = flo * fc <= 0.0
+        hi = np.where(take_hi, cand, hi)
+        fhi = np.where(take_hi, fc, fhi)
+        lo = np.where(take_hi, lo, cand)
+        flo = np.where(take_hi, flo, fc)
+    return lo, hi
+
+
+# the bracket sets that analyze refines: the zeros of the eta range
+# (0.1, 300) with 10 and 1000 roots at a z-width of 1e-12, and the
+# panel edges of integrate_density (every zero below z = 800) at 1e-10
+BRACKET_SETS = {"zeros10": (10, 1e-12), "zeros1000": (1000, 1e-12), "edges": (None, 1e-10)}
+
+
+def bracket_set(m, c1, c2, name):
+    consts = SolutionConstants(c1=c1, c2=c2)
+    max_roots, wtol = BRACKET_SETS[name]
+    k = m / (4.0 * SQ2)
+    z_lo, z_hi = (1e-8, analysis._TAIL_START) if max_roots is None else (
+        k * 0.1**2, k * 300.0**2)
+    fn = analysis._c_fn(consts, DEFAULT_ACCURACY)
+    return consts, analysis._bracket_zeros(fn, z_lo, z_hi, max_roots), wtol
+
+
+def counting_slope_fn(monkeypatch):
+    """Patch analysis._c_slope_fn; returns one evaluation count per evaluator made."""
+    counts = []
+    real = analysis._c_slope_fn
+
+    def counting(consts, acc):
+        fn = real(consts, acc)
+        counts.append(0)
+        slot = len(counts) - 1
+
+        def wrapped(z):
+            counts[slot] += 1
+            return fn(z)
+        return wrapped
+
+    monkeypatch.setattr(analysis, "_c_slope_fn", counting)
+    return counts
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
+    @pytest.mark.parametrize("name", sorted(BRACKET_SETS))
+    def test_newton_matches_regula_falsi(self, m, c1, c2, name):
+        consts, (b_lo, b_hi, sign_lo, start), wtol = bracket_set(m, c1, c2, name)
+        c_fn = analysis._c_fn(consts, DEFAULT_ACCURACY)
+        r_a, r_b = regula_falsi_reference(c_fn, b_lo, b_hi, wtol)
+        z_a, z_b = analysis._refine_brackets(
+            analysis._c_slope_fn(consts, DEFAULT_ACCURACY), b_lo, b_hi, sign_lo, start, wtol)
+        assert np.all(np.abs(0.5 * (z_a + z_b) - 0.5 * (r_a + r_b)) <= 2.0 * wtol)
+        assert np.all(z_b - z_a <= np.maximum(wtol, 2.0 * np.spacing(z_b)))
+        f_a, f_b = np.split(c_fn(np.concatenate([z_a, z_b])), 2)
+        assert np.all(f_a * f_b <= 0.0)
+
+    @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
+    def test_evaluations_per_bracket_set(self, m, c1, c2, monkeypatch):
+        # the regula-falsi reference needs 38-46 evaluations of w per set
+        counts = counting_slope_fn(monkeypatch)
+        params = PhysicalParams(m=m)
+        consts = SolutionConstants(c1=c1, c2=c2)
+        for max_roots in (10, 1000):
+            rs = find_zeros((0.1, 300.0), params, consts, max_roots=max_roots)
+            match_poles(rs, params, consts)
+        integrate_density([10.0, 100.0, 1000.0, 10000.0], params, consts)
+        assert len(counts) == 5
+        assert all(1 <= n <= 8 for n in counts), counts
+
+    def test_brackets_close_at_float_spacing(self, params, consts, monkeypatch):
+        # z reaches ~3.1e4 here; above z = 4096 two float spacings exceed
+        # the 1e-12 width tolerance, and such brackets close at that width
+        # instead of running to the iteration cap
+        counts = counting_slope_fn(monkeypatch)
+        refined = []
+        real = analysis._refine_brackets
+
+        def recording(*args):
+            refined.append((real(*args), args[-1]))
+            return refined[-1][0]
+
+        monkeypatch.setattr(analysis, "_refine_brackets", recording)
+        rs = find_zeros((0.1, 1000.0), params, consts, max_roots=10_000)
+        assert len(rs.roots) == 10_000
+        [((z_a, z_b), wtol)] = refined
+        assert np.count_nonzero(2.0 * np.spacing(z_b) > wtol) > 5000
+        assert np.all(z_b - z_a <= np.maximum(wtol, 2.0 * np.spacing(z_b)))
+        assert counts == [counts[0]] and counts[0] <= 8
+
+    @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
+    def test_roots_against_mpmath(self, m, c1, c2):
+        mpmath = pytest.importorskip("mpmath")
+        params = PhysicalParams(m=m)
+        rs = find_zeros((0.1, 300.0), params, SolutionConstants(c1=c1, c2=c2),
+                        max_roots=1000)
+        etas = rs.etas()
+        with mpmath.workdps(30):
+            k = mpmath.mpf(m) / (4 * mpmath.sqrt(2))
+
+            def w(z):
+                return c2 * mpmath.bessely(0.25, z) - c1 * mpmath.besselj(0.25, z)
+
+            for eta in etas[::37]:
+                z_ref = mpmath.findroot(w, k * mpmath.mpf(eta) ** 2)
+                assert abs(eta - float(mpmath.sqrt(z_ref / k))) <= 1e-12
 
 
 class TestRootSetInvariants:

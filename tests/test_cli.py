@@ -92,6 +92,30 @@ class TestCsvWriter:
         header, cols = self.columns(n)
         assert CsvTable(header, cols).render() == reference_csv(header, cols)
 
+    @pytest.mark.parametrize("n", [cli.CHUNK_ROWS + 300, 2 * cli.CHUNK_ROWS + 1])
+    def test_blank_patterns_changing_within_and_across_chunks(self, n):
+        # runs of rows share a blank pattern: single rows, short and long
+        # runs, one run straddling the first chunk boundary, rows with no
+        # blank and rows with every number blank
+        rng = np.random.default_rng(n)
+        nums = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(4)]
+        masks = np.zeros((n, 4), dtype=bool)
+        row = 0
+        while row < n:
+            run = int(rng.choice([1, 1, 2, 3, 17, 600]))
+            masks[row:row + run] = rng.integers(0, 2, 4).astype(bool)
+            row += run
+        masks[cli.CHUNK_ROWS - 40:cli.CHUNK_ROWS + 40] = [True, False, True, False]
+        masks[5:8] = True
+        masks[8:11] = False
+        for col, mask in zip(nums, masks.T):
+            col[mask] = np.nan
+        listed = [None if v != v else float(v) for v in nums[1]]
+        equation = [("ode5", "continuity", "euler_x")[i % 3] for i in range(n)]
+        header = ["equation", "a", "b", "c", "d"]
+        cols = [equation, nums[0], listed, nums[2], nums[3]]
+        assert CsvTable(header, cols).render() == reference_csv(header, cols)
+
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError):
             CsvTable(["a", "b"], [[1.0, 2.0], [1.0]]).render()
