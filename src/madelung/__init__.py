@@ -5,7 +5,6 @@ from .core import (
     ComplexAmplitude,
     LabPoint,
     PhysicalParams,
-    SimilarityExponents,
     SimilarityPoint,
     SolutionConstants,
     density,

@@ -8,7 +8,7 @@ analytic derivative w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z), from
 C'_nu = C_{nu-1} - (nu/z) C_nu (DLMF 10.6.2); one evaluator request gives
 w and w', and a set of brackets takes about five evaluations.  The
 potential's bracket denominator D = c1 J_{1/4} - c2 Y_{1/4} is -w, so
-pole matching runs the same Newton on D from each zero it checks.  The
+pole matching runs the same Newton on w from each zero it checks.  The
 quadrature for the running integral of the density shape function uses
 the same variable: with f = (pi^2/64) eta w(z)^2,
 
@@ -29,11 +29,12 @@ import numpy as np
 from . import specfun
 from .core import (
     _FOUR_BESSELS,
-    _QUARTER_PAIR,
     PhysicalParams,
     SolutionConstants,
-    _numerator_factor,
+    _k_const,
+    _lab_arrays,
     _simplified_shape_density_arr,
+    _w_bundle,
     quantum_potential_eq9_masked,
 )
 from .errors import DomainError, RangeTooNarrow, ToleranceNotMet, UnmatchedRoot
@@ -111,13 +112,10 @@ class QuadratureResult:
             raise DomainError("est_error must be nonnegative")
 
 
-def _k_const(params: PhysicalParams) -> float:
-    return params.m / (4.0 * params.hbar * math.sqrt(params.dimension))
-
-
 def _c_fn(consts, acc):
+    # w(z) for the zero scans, the pole checks and the quadrature
     def fn(z):
-        return _numerator_factor(np.asarray(z, dtype=float), consts, acc)
+        return _w_bundle(np.asarray(z, dtype=float), consts, acc)[0]
     return fn
 
 
@@ -128,15 +126,6 @@ def _c_slope_fn(consts, acc):
         j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
         w = consts.c2 * y - consts.c1 * j
         return w, consts.c2 * ym - consts.c1 * jm - w / (4.0 * z)
-    return fn
-
-
-def _d_fn(consts, acc):
-    # bracket denominator of the printed quantum potential
-    def fn(z):
-        z = np.asarray(z, dtype=float)
-        j, y = specfun._jy(z, _QUARTER_PAIR, acc)
-        return consts.c1 * j - consts.c2 * y
     return fn
 
 
@@ -237,8 +226,10 @@ def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
     Scans sign changes of w = c2 Y_{1/4}(z) - c1 J_{1/4}(z) on a z mesh,
     refines each bracket by safeguarded Newton with the analytic w' to a
     z-width of at most 1e-12 (or two float spacings, where those are
-    wider) and converts the roots back to eta.  Raises RangeTooNarrow when
-    roots were requested but no sign change lies in the range.
+    wider) and converts the roots back to eta.  max_roots = 0 sets no cap:
+    every zero in the range is returned (51 on eta 0.1-30 at m = 1,
+    c1 = c2 = 1).  Raises RangeTooNarrow when roots were requested but no
+    sign change lies in the range.
     """
     lo, hi = float(range_eta[0]), float(range_eta[1])
     if not (0.0 < lo < hi):
@@ -269,10 +260,10 @@ def match_poles(roots: RootSet, params: PhysicalParams,
 
     The printed bracket denominator D = c1 J_{1/4} - c2 Y_{1/4} of the
     quantum potential is -w, so its zeros are the density zeros.  Each
-    zero is checked, not assumed: D must change sign across z_star -+ 0.25,
-    and safeguarded Newton on D, started at z_star and kept inside that
-    bracket, locates the pole.  Raises UnmatchedRoot when a bracket holds
-    no sign change or a separation exceeds 1e-6.
+    zero is checked, not assumed: D, and so w, must change sign across
+    z_star -+ 0.25, and safeguarded Newton, started at z_star and kept
+    inside that bracket, locates the pole.  Raises UnmatchedRoot when a
+    bracket holds no sign change or a separation exceeds 1e-6.
     """
     if not roots.roots:
         raise DomainError("root set is empty")
@@ -284,14 +275,13 @@ def match_poles(roots: RootSet, params: PhysicalParams,
     # its bracket's lower end at z_star / 2
     lo = np.maximum(z_star - delta, 0.5 * z_star)
     hi = z_star + delta
-    flo, fhi = np.split(_d_fn(consts, acc)(np.concatenate([lo, hi])), 2)
-    bad = flo * fhi > 0
+    w_lo, w_hi = np.split(_c_fn(consts, acc)(np.concatenate([lo, hi])), 2)
+    bad = w_lo * w_hi > 0
     if np.any(bad):
         raise UnmatchedRoot(
             f"no pole bracket near eta = {float(eta_star[bad][0])!r}")
     wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(z_star[0])))
-    # Newton on D = -w steps as Newton on w does, with the sign at lo negated
-    z_a, z_b = _refine_brackets(_c_slope_fn(consts, acc), lo, hi, -np.sign(flo),
+    z_a, z_b = _refine_brackets(_c_slope_fn(consts, acc), lo, hi, np.sign(w_lo),
                                 z_star, wtol)
     eta_pole = np.sqrt(0.5 * (z_a + z_b) / k)
     sep = np.abs(eta_pole - eta_star)
@@ -308,11 +298,6 @@ def match_poles(roots: RootSet, params: PhysicalParams,
 
 def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
-
-
-def _c_squared(z, consts, acc):
-    w = _numerator_factor(np.asarray(z, dtype=float), consts, acc)
-    return w * w
 
 
 def _two_level(fn, a, b, nodes, weights):
@@ -394,30 +379,25 @@ def _laurent_eval(a, z):
     return acc_val
 
 
-def _tail_segment(a, b, consts, acc):
-    """Closed-form integral of w(z)^2 over the asymptotic region [a, b].
-
-    w(z)^2 = (c1^2+c2^2) M^2 sin^2(theta - psi) with the modulus-squared
-    expansion M^2 = (2/pi z) S(z) and the exact phase derivative
-    theta' = 2/(pi z M^2).  The smooth half integrates analytically; the
-    cos(2 theta - 2 psi) half is integrated by parts twice, leaving
-    boundary terms plus a remainder bounded by 1/(2 pi a^3).
-    """
+def _modulus_series():
+    # S(z) = (pi z/2) M^2(z) for order 1/4, where M^2 = J^2 + Y^2
     mu = 4.0 * 0.25**2
     s_ser = np.zeros(_LAURENT_CAP)
     s_ser[0] = 1.0
     s_ser[2] = (mu - 1.0) / 8.0
     s_ser[4] = 3.0 * (mu - 1.0) * (mu - 9.0) / 128.0
     s_ser[6] = 5.0 * (mu - 1.0) * (mu - 9.0) * (mu - 25.0) / 1024.0
+    return s_ser
 
-    amp = 0.5 * (consts.c1**2 + consts.c2**2)
 
-    # smooth part: int (2/pi z) S dz
-    smooth = (2.0 / math.pi) * math.log(b / a)
-    for p in range(2, _LAURENT_CAP, 2):
-        if s_ser[p]:
-            smooth -= (2.0 / math.pi) * s_ser[p] / p * (b**-p - a**-p)
+def _tail_ends(zs, consts, acc):
+    """Boundary terms of _tail_segment's by-parts integral at each z of zs.
 
+    Returns a dict from each z to its term.  One Hankel call serves every
+    z: that regime sums each point's series on its own, so the terms equal
+    those of one-point calls bit for bit.
+    """
+    s_ser = _modulus_series()
     # oscillatory part by parts: U = M^2/phi' = S^2/(pi z), 1/phi' = S/2
     half_s = 0.5 * s_ser
     u_ser = np.zeros(_LAURENT_CAP)
@@ -428,35 +408,55 @@ def _tail_segment(a, b, consts, acc):
     two_psi_cos = (consts.c2**2 - consts.c1**2) / (consts.c1**2 + consts.c2**2)
     two_psi_sin = 2.0 * consts.c1 * consts.c2 / (consts.c1**2 + consts.c2**2)
 
-    def boundary(z):
-        j, y = (float(v[0]) for v in specfun._jy_asymptotic(
-            0.25, np.array([z]), acc))
-        m2 = j * j + y * y
-        cos2t = (j * j - y * y) / m2
-        sin2t = 2.0 * j * y / m2
-        cosphi = cos2t * two_psi_cos + sin2t * two_psi_sin
-        sinphi = sin2t * two_psi_cos - cos2t * two_psi_sin
-        return ((_laurent_eval(u_ser, z) - _laurent_eval(v_ser, z)) * sinphi
-                + _laurent_eval(w_ser, z) * cosphi)
+    j, y = specfun._jy_asymptotic(0.25, zs, acc)
+    m2 = j * j + y * y
+    cos2t = (j * j - y * y) / m2
+    sin2t = 2.0 * j * y / m2
+    cosphi = cos2t * two_psi_cos + sin2t * two_psi_sin
+    sinphi = sin2t * two_psi_cos - cos2t * two_psi_sin
+    terms = ((_laurent_eval(u_ser, zs) - _laurent_eval(v_ser, zs)) * sinphi
+             + _laurent_eval(w_ser, zs) * cosphi)
+    return dict(zip(zs.tolist(), terms.tolist()))
 
-    i_osc = boundary(b) - boundary(a)
+
+def _tail_segment(a, b, ends, consts):
+    """Closed-form integral of w(z)^2 over the asymptotic region [a, b].
+
+    w(z)^2 = (c1^2+c2^2) M^2 sin^2(theta - psi) with the modulus-squared
+    expansion M^2 = (2/pi z) S(z) and the exact phase derivative
+    theta' = 2/(pi z M^2).  The smooth half integrates analytically; the
+    cos(2 theta - 2 psi) half is integrated by parts twice, leaving the
+    boundary terms ends[a] and ends[b] (from _tail_ends) plus a remainder
+    bounded by 1/(2 pi a^3).
+    """
+    s_ser = _modulus_series()
+    amp = 0.5 * (consts.c1**2 + consts.c2**2)
+
+    # smooth part: int (2/pi z) S dz
+    smooth = (2.0 / math.pi) * math.log(b / a)
+    for p in range(2, _LAURENT_CAP, 2):
+        if s_ser[p]:
+            smooth -= (2.0 / math.pi) * s_ser[p] / p * (b**-p - a**-p)
+
+    i_osc = ends[b] - ends[a]
     total = amp * (smooth - i_osc)
     err = amp / (2.0 * math.pi * a**3) + 1e-14 * abs(total)
     return total, err
 
 
-def _segment_integral(z_a, z_b, zero_edges, consts, acc, tol, nodes, weights):
+def _segment_integral(z_a, z_b, zero_edges, ends, consts, acc, tol, nodes, weights):
     """Integral of w(z)^2 over [z_a, z_b] split at _TAIL_START."""
     total = 0.0
     err = 0.0
     lo_end = min(z_b, _TAIL_START)
+    w = _c_fn(consts, acc)
     if z_a < lo_end:
         inner = zero_edges[(zero_edges > z_a) & (zero_edges < lo_end)]
         if z_a == 0.0:
             # substitute z = u^2 on the leading panel: the integrand
             # w(z)^2 ~ z^{-1/2} endpoint behavior becomes smooth
             first = float(inner[0]) if len(inner) else lo_end
-            fn_u = lambda u: _c_squared(u * u, consts, acc) * 2.0 * u
+            fn_u = lambda u: w(u * u) ** 2 * 2.0 * u
             v, e = _integrate_edges(
                 fn_u, np.array([0.0, math.sqrt(first)]), tol, nodes, weights)
             total += v
@@ -465,12 +465,11 @@ def _segment_integral(z_a, z_b, zero_edges, consts, acc, tol, nodes, weights):
             z_a = first
         if z_a < lo_end:
             edges = np.concatenate([[z_a], inner, [lo_end]])
-            fn = lambda z: _c_squared(z, consts, acc)
-            v, e = _integrate_edges(fn, edges, tol, nodes, weights)
+            v, e = _integrate_edges(lambda z: w(z) ** 2, edges, tol, nodes, weights)
             total += v
             err += e
     if z_b > _TAIL_START:
-        v, e = _tail_segment(max(z_a, _TAIL_START), z_b, consts, acc)
+        v, e = _tail_segment(max(z_a, _TAIL_START), z_b, ends, consts)
         total += v
         err += e
     return total, err
@@ -524,13 +523,16 @@ def integrate_density(upper_limits, params: PhysicalParams,
     else:
         zero_edges = np.empty(0)
     nodes, weights = _leggauss(10)
+    # every tail segment starts at _TAIL_START or at the checkpoint before it
+    tail_z = [z for z in z_cps if z > _TAIL_START]
+    ends = _tail_ends(np.array([_TAIL_START] + tail_z), consts, acc) if tail_z else {}
 
     running = 0.0
     err_running = 0.0
     at_checkpoints = []
     prev = 0.0
     for z_cp in z_cps:
-        v, e = _segment_integral(prev, z_cp, zero_edges, consts, acc,
+        v, e = _segment_integral(prev, z_cp, zero_edges, ends, consts, acc,
                                  tol, nodes, weights)
         running += v
         err_running += e
@@ -590,19 +592,13 @@ def figure_series(figure_id: str, params: PhysicalParams,
         gt = time_grid or GridSpec(0.25, 4.0, 7, "log")
         xs = gx.points()
         ts = gt.points()
-        rows_x = []
-        rows_t = []
-        rows_re = []
-        for t in ts:
-            eta = xs / math.sqrt(t)
-            rho = _simplified_shape_density_arr(eta, params, consts, acc) / math.sqrt(t)
-            ph = params.m * xs * xs / (4.0 * params.hbar * t)
-            rows_x.append(xs)
-            rows_t.append(np.full_like(xs, t))
-            rows_re.append(np.sqrt(rho) * np.cos(ph))
+        # one call per t row: a Bessel value depends on the other points of
+        # its array, so one call over the whole raster would move the bytes
+        rows_re = [_lab_arrays(("psi_re",), xs, 0.0, t, params, consts, acc,
+                               _simplified_shape_density_arr)[0] for t in ts]
         return SampleSeries.from_columns(
-            [("x", np.concatenate(rows_x)),
-             ("t", np.concatenate(rows_t)),
+            [("x", np.tile(xs, len(ts))),
+             ("t", np.repeat(ts, len(xs))),
              ("re_psi", np.concatenate(rows_re))])
     if figure_id == "fig3":
         g = grid or GridSpec(0.05, 12.0, 600)

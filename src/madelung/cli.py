@@ -425,7 +425,8 @@ def _build_parser():
     p_zeros = sub.add_parser("zeros", parents=[common],
                              help="density zeros and matched potential poles")
     p_zeros.add_argument("--range", default="0.1:30", help="eta range lo:hi")
-    p_zeros.add_argument("--max-roots", dest="max_roots", type=int, default=10)
+    p_zeros.add_argument("--max-roots", dest="max_roots", type=int, default=10,
+                         help="most roots to report; 0 reports every root in the range")
 
     p_int = sub.add_parser("integrate", parents=[common],
                            help="running integral of the density shape")

@@ -32,7 +32,6 @@ __all__ = [
     "LAB_FIELDS",
     "PhysicalParams",
     "SolutionConstants",
-    "SimilarityExponents",
     "SimilarityPoint",
     "LabPoint",
     "ComplexAmplitude",
@@ -92,20 +91,6 @@ class SolutionConstants:
             raise DomainError("c0, c1 and c2 must be finite")
         if self.c1 == 0.0 and self.c2 == 0.0:
             raise DomainError("c1 and c2 must not both vanish")
-
-
-@dataclass(frozen=True)
-class SimilarityExponents:
-    """Decay/spreading exponents; all four are pinned to exactly 1/2."""
-
-    alpha: float = 0.5
-    beta: float = 0.5
-    delta: float = 0.5
-    epsilon: float = 0.5
-
-    def __post_init__(self):
-        if not (self.alpha == self.beta == self.delta == self.epsilon == 0.5):
-            raise DomainError("all similarity exponents are fixed to 1/2")
 
 
 @dataclass(frozen=True)
@@ -172,6 +157,11 @@ def _mass_scale(params: PhysicalParams) -> float:
     return params.m * math.sqrt(2.0 / params.dimension) / params.hbar
 
 
+def _k_const(params: PhysicalParams) -> float:
+    # k of z = k eta^2; _z_arg keeps its own operation order
+    return params.m / (4.0 * params.hbar * math.sqrt(params.dimension))
+
+
 def _z_arg(eta, params: PhysicalParams):
     z = params.m * eta * eta / (4.0 * params.hbar * math.sqrt(params.dimension))
     # a positive eta whose z underflows would send the Bessel series to 0^nu
@@ -191,14 +181,19 @@ def _check_eta(eta) -> np.ndarray:
 
 
 # J and Y of orders 1/4 and -3/4, as _jy requests
-_QUARTER_PAIR = (("J", 0.25, 0), ("Y", 0.25, 0))
-_FOUR_BESSELS = _QUARTER_PAIR + (("J", -0.75, 0), ("Y", -0.75, 0))
+_FOUR_BESSELS = (("J", 0.25, 0), ("Y", 0.25, 0), ("J", -0.75, 0), ("Y", -0.75, 0))
 
 
-def _numerator_factor(z, consts, acc):
-    # c2 Y_{1/4}(z) - c1 J_{1/4}(z); its zeros are the zeros of the density
-    j, y = specfun._jy(z, _QUARTER_PAIR, acc)
-    return consts.c2 * y - consts.c1 * j
+def _w_bundle(z, consts, acc, upto=0):
+    """w = c2 Y_{1/4}(z) - c1 J_{1/4}(z) and its z-derivatives through `upto`.
+
+    Returns [w, w', ...], each from the order-shift recurrences.  The zeros
+    of w are the density zeros (f = (pi^2/64) eta w^2), and the quantum
+    potential's bracket denominator is D = -w.
+    """
+    vals = specfun._jy(z, [(kind, 0.25, k) for k in range(upto + 1)
+                           for kind in ("J", "Y")], acc)
+    return [consts.c2 * yk - consts.c1 * jk for jk, yk in zip(vals[::2], vals[1::2])]
 
 
 def _shape_density_arr(eta, params, consts, acc):
@@ -211,8 +206,7 @@ def _shape_density_arr(eta, params, consts, acc):
 
 
 def _simplified_shape_density_arr(eta, params, consts, acc):
-    z = _z_arg(eta, params)
-    w = _numerator_factor(z, consts, acc)
+    w = _w_bundle(_z_arg(eta, params), consts, acc)[0]
     return _SHAPE_AMPLITUDE * eta * w * w
 
 
@@ -264,9 +258,9 @@ def shape_velocity_split(eta, consts: SolutionConstants):
     return g, g
 
 
-def _lab_arrays(names, x, y, t, params, consts, acc):
+def _lab_arrays(names, x, y, t, params, consts, acc, shape=_shape_density_arr):
     # the LAB_FIELDS in names on broadcast (x, y, t) arrays, sharing eta,
-    # rho and S between them
+    # rho and S between them; shape is the density-shape kernel of rho
     x, y, t = (np.asarray(v, dtype=float) for v in (x, y, t))
     if not np.all(t > 0.0):
         raise DomainError("t must be positive")
@@ -280,7 +274,7 @@ def _lab_arrays(names, x, y, t, params, consts, acc):
         g, h = shape_velocity_split(eta, consts)
         fields.update(u=g / rt, v=h / rt)
     if set(names) & {"rho", "psi_re", "psi_im"}:
-        fields["rho"] = _shape_density_arr(_check_eta(eta), params, consts, acc) / rt
+        fields["rho"] = shape(_check_eta(eta), params, consts, acc) / rt
         amp = np.sqrt(fields["rho"])
         for name, trig in (("psi_re", np.cos), ("psi_im", np.sin)):
             if name in names:
@@ -362,13 +356,11 @@ def wavefunction_eq8(p: LabPoint, params: PhysicalParams,
 
 
 def _q9_terms(eta, params, consts, acc):
-    # bracket denominator D(z) = c1 J_{1/4} - c2 Y_{1/4} and the analytic
-    # eta-derivative of -eta^2 M^2 / (8 D)
+    # bracket denominator D(z) = c1 J_{1/4} - c2 Y_{1/4} = -w and the
+    # analytic eta-derivative of -eta^2 M^2 / (8 D)
     z = _z_arg(eta, params)
-    j, y, jd, yd = specfun._jy(
-        z, _QUARTER_PAIR + (("J", 0.25, 1), ("Y", 0.25, 1)), acc)
-    d = consts.c1 * j - consts.c2 * y
-    dprime = consts.c1 * jd - consts.c2 * yd
+    w, w1 = _w_bundle(z, consts, acc, upto=1)
+    d, dprime = -w, -w1
     mm = _mass_scale(params)
     try:
         pref = params.hbar**2 / (2.0 * params.m**2)

@@ -44,9 +44,12 @@ __all__ = [
     "cross_product",
 ]
 
-# Ascending series is numerically safe (cancellation below ~1e-12 relative
-# to the envelope) only up to this argument; beyond it the normalized
-# downward recurrence takes over until the asymptotic switchover.
+# The ascending series serves z up to this argument; beyond it the
+# normalized downward recurrence takes over until the asymptotic switchover.
+# Its cancellation peaks here: against scipy, J and Y of the twelve quarter
+# orders on z in [0.5, 20] (step 5e-4) err by at most 9.9e-12 relative to
+# the envelope sqrt(J^2 + Y^2), for Y_{-3/4} at z = 12, above the 1e-12
+# default target.
 _SERIES_MAX = 12.0
 
 _TINY = 1e-300
@@ -155,12 +158,11 @@ def _gamma(x: float) -> float:
     return _gamma_positive(x)
 
 
-def gamma(x: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
+def gamma(x: float) -> float:
     """Gamma(x) for real x away from the poles at 0, -1, -2, ...
 
     Raises PoleError when x is within 1e-14 of a non-positive integer.
     """
-    del acc  # fixed rational approximation; kept for interface symmetry
     return _gamma(float(x))
 
 

@@ -22,11 +22,14 @@ import numpy as np
 from . import specfun
 from .core import (
     _FOUR_BESSELS,
-    _QUARTER_PAIR,
+    _SHAPE_AMPLITUDE,
     PhysicalParams,
     SolutionConstants,
+    _k_const,
+    _lab_arrays,
     _mass_scale,
     _simplified_shape_density_arr,
+    _w_bundle,
     _z_arg,
 )
 from .errors import DomainError, SingularityError, StepTooLarge, StiffnessError, ZeroCrossing
@@ -56,8 +59,6 @@ EQUATION_IDS = (
     "schrodinger",
     "phase_gradient",
 )
-
-_SHAPE_AMPLITUDE = math.pi * math.pi / 64.0
 
 # splitting s = x + y into the two lab coordinates; any split works since
 # the fields depend on x and y only through their sum
@@ -125,14 +126,6 @@ class OdeState:
 # analytic shape-function derivatives
 
 
-def _cylinder_derivs(z, consts, acc, upto):
-    """w = c2 Y_{1/4} - c1 J_{1/4} and d/dz derivatives through order `upto`,
-    each obtained from the order-shift recurrences."""
-    vals = specfun._jy(z, [(kind, 0.25, k) for k in range(upto + 1)
-                           for kind in ("J", "Y")], acc)
-    return [consts.c2 * yk - consts.c1 * jk for jk, yk in zip(vals[::2], vals[1::2])]
-
-
 def shape_derivatives(eta, params, consts, acc=DEFAULT_ACCURACY, upto=2):
     """f and its eta-derivatives through order `upto` (2 or 3).
 
@@ -140,8 +133,8 @@ def shape_derivatives(eta, params, consts, acc=DEFAULT_ACCURACY, upto=2):
     """
     eta = np.asarray(eta, dtype=float)
     z = _z_arg(eta, params)
-    kconst = params.m / (4.0 * params.hbar * math.sqrt(params.dimension))
-    ws = _cylinder_derivs(z, consts, acc, upto)
+    kconst = _k_const(params)
+    ws = _w_bundle(z, consts, acc, upto)
     a = _SHAPE_AMPLITUDE
     w, w1 = ws[0], ws[1]
     f = a * eta * w * w
@@ -165,9 +158,7 @@ def _zero_distance(eta, params, consts, acc):
     plus the local half-oscillation width pi/(dz/deta)."""
     eta = np.asarray(eta, dtype=float)
     z = _z_arg(eta, params)
-    j, y, j1, y1 = specfun._jy(z, _QUARTER_PAIR + (("J", 0.25, 1), ("Y", 0.25, 1)), acc)
-    w = consts.c2 * y - consts.c1 * j
-    w1 = j1 * (-consts.c1) + y1 * consts.c2
+    w, w1 = _w_bundle(z, consts, acc, upto=1)
     dz_deta = 2.0 * z / eta
     dist = np.abs(w / (w1 * dz_deta + 1e-300))
     return dist, np.pi / dz_deta
@@ -270,8 +261,8 @@ def _lab_fields(params, consts, acc):
     c0 = consts.c0
 
     def rho(x, y, t):
-        eta = (x + y) / rt(t)
-        return _simplified_shape_density_arr(eta, params, consts, acc) / rt(t)
+        return _lab_arrays(("rho",), x, y, t, params, consts, acc,
+                           _simplified_shape_density_arr)[0]
 
     def u(x, y, t):
         return (x + y - c0 * rt(t)) / (4.0 * t)
@@ -340,18 +331,26 @@ def _continuity_euler_max(space_grid, time_grid, params, consts, acc, h, hq):
     return (x, y, t, cont, cont_scale, euler, euler_scale, excluded)
 
 
-def _masked_report(equation_id, coords, res, scale, excluded, extras=None):
+def _masked_report(equation_id, coords, res, scale, excluded, extras=None,
+                   res_name="residual"):
     x, y, t = coords
     rel = np.abs(res) / np.maximum(scale, 1e-300)
     res_m = np.where(excluded, np.nan, res)
     rel_m = np.where(excluded, np.nan, rel)
     pts = SampleSeries.from_columns(
-        [("x", x), ("y", y), ("t", t), ("residual", res_m), ("rel", rel_m)])
+        [("x", x), ("y", y), ("t", t), (res_name, res_m), ("rel", rel_m)])
     good = ~excluded
     max_abs = float(np.nanmax(np.abs(res_m[good]))) if good.any() else 0.0
     max_rel = float(np.nanmax(rel_m[good])) if good.any() else 0.0
     return ResidualReport(equation_id, pts, max_abs, max_rel,
                           int(np.count_nonzero(excluded)), extras or {})
+
+
+def _richardson_ratio(a, b, both):
+    # max |a| over max |b| on the points kept at both steps; 1 if b vanishes
+    ma = float(np.max(np.abs(a[both]))) if both.any() else 0.0
+    mb = float(np.max(np.abs(b[both]))) if both.any() else 0.0
+    return ma / mb if mb > 0 else 1.0
 
 
 def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
@@ -378,9 +377,7 @@ def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
             space_grid, time_grid, params, consts, acc, fd_step / 2.0, hq)
         both = ~(excl | excl2)
         for name, a, b in (("continuity", cont, cont2), ("euler", euler, euler2)):
-            ma = float(np.max(np.abs(a[both]))) if both.any() else 0.0
-            mb = float(np.max(np.abs(b[both]))) if both.any() else 0.0
-            ratio = ma / mb if mb > 0 else 1.0
+            ratio = _richardson_ratio(a, b, both)
             extras[f"richardson_ratio_{name}"] = ratio
             if ratio > 10.0:
                 raise StepTooLarge(
@@ -392,19 +389,23 @@ def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
     return cont_rep, ex_rep, ey_rep
 
 
-def _psi_arr(x, y, t, params, consts, acc, use_eq8):
+def _psi_canonical(x, y, t, params, consts, acc):
+    # core's sqrt(rho) (cos S, sin S), with the simplified density shape
+    re, im = _lab_arrays(("psi_re", "psi_im"), x, y, t, params, consts, acc,
+                         _simplified_shape_density_arr)
+    return re + 1j * im
+
+
+def _psi_eq8(x, y, t, params, consts, acc):
+    # array form of core.wavefunction_eq8, which computes with floats: numpy's
+    # power and Python's ** differ in the last bit on some inputs
     s = x + y
-    eta = s / np.sqrt(t)
+    z = _z_arg(s / np.sqrt(t), params)
+    j, yv, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
+    cross = jm * yv - j * ym
+    num = math.sqrt(2.0) * t**0.25 * (-consts.c1 * j + consts.c2 * yv)
+    modulus = num / (s**1.5 * _mass_scale(params) * cross)
     ph = params.m * s * s / (4.0 * params.hbar * t)
-    if use_eq8:
-        z = _z_arg(eta, params)
-        j, yv, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
-        cross = jm * yv - j * ym
-        num = math.sqrt(2.0) * t**0.25 * (-consts.c1 * j + consts.c2 * yv)
-        modulus = num / (s**1.5 * _mass_scale(params) * cross)
-    else:
-        modulus = np.sqrt(_simplified_shape_density_arr(eta, params, consts, acc)
-                          / np.sqrt(t))
     return modulus * np.exp(1j * ph)
 
 
@@ -453,8 +454,10 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
     measures rounding, not truncation.
     """
     if psi is None:
+        kernel = _psi_eq8 if use_eq8 else _psi_canonical
+
         def psi(xx, yy, tt_):
-            return _psi_arr(xx, yy, tt_, params, consts, acc, use_eq8)
+            return kernel(xx, yy, tt_, params, consts, acc)
         wavefunction = "eq8" if use_eq8 else "canonical"
     elif use_eq8:
         raise DomainError("psi and use_eq8 are mutually exclusive")
@@ -466,23 +469,12 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
     if richardson:
         _, _, _, res2, _, excl2 = _schrodinger_residual_arrays(
             space_grid, time_grid, params, consts, acc, fd_step / 2.0, psi)
-        both = ~(excl | excl2)
-        ma = float(np.max(np.abs(res[both]))) if both.any() else 0.0
-        mb = float(np.max(np.abs(res2[both]))) if both.any() else 0.0
-        ratio = ma / mb if mb > 0 else 1.0
+        ratio = _richardson_ratio(res, res2, ~(excl | excl2))
         extras["richardson_ratio"] = ratio
         if ratio > 10.0:
             raise StepTooLarge("schrodinger residual changes more than 10x on halving")
-    rel = np.abs(res) / np.maximum(scale, 1e-300)
-    res_m = np.where(excl, np.nan, np.abs(res))
-    rel_m = np.where(excl, np.nan, rel)
-    pts = SampleSeries.from_columns(
-        [("x", x), ("y", y), ("t", t), ("residual_abs", res_m), ("rel", rel_m)])
-    good = ~excl
-    max_abs = float(np.nanmax(res_m[good])) if good.any() else 0.0
-    max_rel = float(np.nanmax(rel_m[good])) if good.any() else 0.0
-    return ResidualReport("schrodinger", pts, max_abs, max_rel,
-                          int(np.count_nonzero(excl)), extras)
+    return _masked_report("schrodinger", (x, y, t), np.abs(res), scale, excl, extras,
+                          "residual_abs")
 
 
 def residual_phase_gradient(space_grid: GridSpec, time_grid: GridSpec,

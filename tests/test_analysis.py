@@ -72,6 +72,16 @@ class TestFindZeros:
             find_zeros((0.1, 1.0), params, consts, max_roots=3)
         assert find_zeros((0.1, 1.0), params, consts, max_roots=0).roots == ()
 
+    def test_max_roots_zero_returns_every_zero(self, params, consts):
+        # 0 is no cap: every zero of the range, where a cap above the count
+        # finds the same ones
+        rs = find_zeros((0.1, 30.0), params, consts, max_roots=0)
+        assert len(rs.roots) == 51
+        capped = find_zeros((0.1, 30.0), params, consts, max_roots=1000)
+        assert np.allclose(rs.etas(), capped.etas(), rtol=0.0, atol=1e-12)
+        for (eta, _), expected in zip(rs.roots, ref.ROOT_ETAS):
+            assert abs(eta - expected) < 1e-9
+
     def test_spacing_strictly_decreasing(self, params, consts):
         rs = find_zeros((0.1, 30.0), params, consts, max_roots=12)
         etas = rs.etas()
@@ -342,6 +352,25 @@ class TestIntegrateDensity:
             arch = fs[i + 1] - fs[i]
             predicted = ref.ENVELOPE_B * math.log(etas[i + 1] / etas[i])
             assert abs(arch - predicted) / predicted < 0.02
+
+    def test_tail_ends_from_one_hankel_call(self, params, consts, monkeypatch):
+        # the ten distinct tail boundaries of these limits (z = 800 and the
+        # nine checkpoints above it) come from one call, bit-equal to
+        # one-point calls
+        calls = []
+        real = analysis._tail_ends
+
+        def spy(zs, *args):
+            calls.append(zs)
+            return real(zs, *args)
+
+        monkeypatch.setattr(analysis, "_tail_ends", spy)
+        integrate_density([10.0, 100.0, 1000.0, 10000.0], params, consts)
+        [zs] = calls
+        assert len(zs) == len(set(zs.tolist())) == 10 and zs[0] == analysis._TAIL_START
+        ends = real(zs, consts, DEFAULT_ACCURACY)
+        for z in zs.tolist():
+            assert ends[z] == real(np.array([z]), consts, DEFAULT_ACCURACY)[z]
 
     def test_input_validation(self, params, consts):
         with pytest.raises(DomainError):

@@ -11,7 +11,6 @@ from madelung.core import (
     ComplexAmplitude,
     LabPoint,
     PhysicalParams,
-    SimilarityExponents,
     SimilarityPoint,
     SolutionConstants,
     density,
@@ -49,12 +48,6 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             SolutionConstants(c1=0.0, c2=0.0)
         assert SolutionConstants(c1=1.0, c2=0.0).c0 == 0.0
-
-    def test_exponents_pinned(self):
-        e = SimilarityExponents()
-        assert (e.alpha, e.beta, e.delta, e.epsilon) == (0.5,) * 4
-        with pytest.raises(DomainError):
-            SimilarityExponents(alpha=0.25)
 
     def test_point_invariants(self):
         with pytest.raises(DomainError):

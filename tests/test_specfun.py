@@ -382,7 +382,7 @@ class TestKernelCallCounts:
         return counts
 
     def test_one_w_evaluation(self, calls, consts):
-        core._numerator_factor(Z_CROSSING, consts, DEFAULT_ACCURACY)
+        core._w_bundle(Z_CROSSING, consts, DEFAULT_ACCURACY)
         # J_{1/4} and J_{-1/4} by series, one recurrence per ladder, and
         # one Hankel expansion giving J_{1/4} and Y_{1/4} together
         assert calls == {"series": 2, "downward": 2, "hankel": 1}
@@ -402,10 +402,13 @@ class TestGoldenDigests:
     The `zeros` and `integrate` CSV digests were captured again when root
     refinement moved from regula falsi to safeguarded Newton: eta*,
     q_pole_eta and F moved at rounding level (at most 7.5e-13, 7.6e-13
-    and 0.03 of the err cell).  Every grid crosses both regime switches (z = 12 and z = 20).  The
-    digests hold for the numpy build they were captured with (numpy 2.4.6,
-    x86-64): the Bessel kernels call numpy's cos, sin and power, whose last
-    bit may differ on other builds.
+    and 0.03 of the err cell).  The `figure fig1`, `figure fig2` and
+    `verify --c0 0.25` digests were captured before w, the lab fields and
+    the shape constants moved into core, and pin that move.  Every grid
+    crosses both regime switches (z = 12 and z = 20).  The digests hold
+    for the numpy build they were captured with (numpy 2.4.6, x86-64): the
+    Bessel kernels call numpy's cos, sin and power, whose last bit may
+    differ on other builds.
     """
 
     # (argv, exit status, SHA-256 of the --output CSV, SHA-256 of stdout)
@@ -449,6 +452,19 @@ class TestGoldenDigests:
         ('figure fig3 --m 2 --c1 3 --c2 -1', 0,
          "ff572bad45a3dc977f73cf656abeab251deb6dac94505c2d0787ba48a76044d1",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ('figure fig1', 0,
+         "98e395cd27337ee2d9bce30b7ddf665feb7e7065a1386e9a5c992123d95e3447",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ('figure fig2', 0,
+         "045ee4c8c056d3995594764687aa61228b695b2199bafe5416357d64e7097f9b",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ('figure fig2 --m 2 --c1 3 --c2 -1', 0,
+         "cd72311f84ead8e4205a71445ebd3ba4fb60f3518b2a31119f6fa54cbc1f9cc6",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # a nonzero c0 reaches verify's own lab velocity u
+        ('verify --which all --c0 0.25', 3,
+         "c632d3c5ed896dd4501f08e63dc67ed0e4850c5e04eba55e6941dce382c74133",
+         "bf93875f11f1351e1f71e77b67474cb0d06c2b8e6a96ec92b2e04fccec928103"),
     ]
 
     @pytest.mark.parametrize("argv,code,csv_sha,out_sha", CLI, ids=[c[0] for c in CLI])
@@ -479,9 +495,9 @@ class TestGoldenDigests:
                               indexing="ij")
         z = core._z_arg(eta, p)
         if name == "psi_eq8":
-            return [verify._psi_arr(x, y, t, p, c2, DEFAULT_ACCURACY, True)]
+            return [verify._psi_eq8(x, y, t, p, c2, DEFAULT_ACCURACY)]
         if name == "psi_canonical":
-            return [verify._psi_arr(x, y, t, p, c, DEFAULT_ACCURACY, False)]
+            return [verify._psi_canonical(x, y, t, p, c, DEFAULT_ACCURACY)]
         if name == "eq8_points":
             return [[core.wavefunction_eq8(core.LabPoint(s, 0.3, 1.0), p, c2).as_complex()
                      for s in (0.5, 3.0, 8.7, 9.5, 11.0, 25.0)]]
@@ -490,9 +506,9 @@ class TestGoldenDigests:
         if name == "zero_distance":
             return verify._zero_distance(eta, p, c2, DEFAULT_ACCURACY)
         if name == "c_squared":
-            return [analysis._c_squared(z, c2, DEFAULT_ACCURACY)]
-        if name == "d_fn":
-            return [analysis._d_fn(c2, DEFAULT_ACCURACY)(z)]
+            return [analysis._c_fn(c2, DEFAULT_ACCURACY)(z) ** 2]
+        if name == "d_fn":  # D = -w
+            return [-core._w_bundle(z, c2, DEFAULT_ACCURACY)[0]]
         return core.quantum_potential_eq9_masked(eta, p, c2)
 
     @pytest.mark.parametrize("name", list(LIBRARY))
