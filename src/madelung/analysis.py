@@ -592,14 +592,12 @@ def figure_series(figure_id: str, params: PhysicalParams,
         gt = time_grid or GridSpec(0.25, 4.0, 7, "log")
         xs = gx.points()
         ts = gt.points()
-        # one call per t row: a Bessel value depends on the other points of
-        # its array, so one call over the whole raster would move the bytes
-        rows_re = [_lab_arrays(("psi_re",), xs, 0.0, t, params, consts, acc,
-                               _simplified_shape_density_arr)[0] for t in ts]
+        re_psi = _lab_arrays(("psi_re",), xs, 0.0, ts[:, None], params, consts, acc,
+                             _simplified_shape_density_arr)[0]
         return SampleSeries.from_columns(
             [("x", np.tile(xs, len(ts))),
              ("t", np.repeat(ts, len(xs))),
-             ("re_psi", np.concatenate(rows_re))])
+             ("re_psi", re_psi.ravel())])
     if figure_id == "fig3":
         g = grid or GridSpec(0.05, 12.0, 600)
         etas = g.points()

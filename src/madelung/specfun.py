@@ -18,6 +18,8 @@ into the regimes once and computes each series order, each ladder
 mu + n (mu = 1/4 or 3/4; one recurrence gives every shift n) and each
 Hankel order once, however many values and derivatives share them.
 
+Every regime evaluates each point on its own, so a value depends only on
+its own argument, never on the other points of the array it comes with.
 All functions are pure and reentrant; identical inputs produce
 bit-identical outputs.
 """
@@ -46,13 +48,18 @@ __all__ = [
 
 # The ascending series serves z up to this argument; beyond it the
 # normalized downward recurrence takes over until the asymptotic switchover.
-# Its cancellation peaks here: against scipy, J and Y of the twelve quarter
-# orders on z in [0.5, 20] (step 5e-4) err by at most 9.9e-12 relative to
-# the envelope sqrt(J^2 + Y^2), for Y_{-3/4} at z = 12, above the 1e-12
+# The series' cancellation peaks here: against scipy, J, Y and their first
+# three derivatives at the twelve quarter orders err by at most 1.9e-13
+# relative to the envelope sqrt(J^2 + Y^2), for Y_{3/4} just below z = 8.
+# A switch at 12 reached 9.9e-12 (Y_{-3/4} at z = 12), above the 1e-12
 # default target.
-_SERIES_MAX = 12.0
+_SERIES_MAX = 8.0
 
 _TINY = 1e-300
+
+# the series compacts its running points only in arrays at least this long;
+# below it compacting saved no time (measured on 8 to 512 points)
+_COMPACT_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -171,18 +178,41 @@ def gamma(x: float) -> float:
 
 
 def _j_series(nu: float, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
-    """Ascending series for J_nu, valid for z <= _SERIES_MAX."""
+    """Ascending series for J_nu, valid for z <= _SERIES_MAX.
+
+    Each point stops at its own first term k >= 1 with |term| <= 1e-2
+    target (scale + tiny), scale the largest partial sum so far, and its
+    value is the partial sum through that term, whatever other points
+    share the array.  A stopped point's later terms are zeroed; once at
+    least half of the running points have stopped, they are written out
+    and dropped (arrays below _COMPACT_MIN points are never compacted).
+    """
     half = 0.5 * z
     term = half**nu / _gamma(nu + 1.0)
     total = term.copy()
     scale = np.abs(term)
     q = -(half * half)
+    out = idx = None  # idx: the running points' positions in out, once compacted
     for k in range(1, acc.max_series_terms + 1):
         term = term * q / (k * (nu + k))
         total += term
         np.maximum(scale, np.abs(total), out=scale)
-        if np.all(np.abs(term) <= 1e-2 * acc.target_rel_error * (scale + _TINY)):
-            return total
+        done = np.abs(term) <= 1e-2 * acc.target_rel_error * (scale + _TINY)
+        stopped = np.count_nonzero(done)
+        if stopped == len(done):
+            if idx is None:
+                return total
+            out[idx] = total
+            return out
+        if 2 * stopped >= len(done) >= _COMPACT_MIN:
+            if idx is None:
+                out, idx = np.empty_like(total), np.arange(len(total))
+            stop = np.flatnonzero(done)
+            out[idx[stop]] = total[stop]
+            run = np.flatnonzero(~done)
+            idx, term, total, scale, q = (a.take(run) for a in (idx, term, total, scale, q))
+        else:
+            np.copyto(term, 0.0, where=done)
     raise ConvergenceError(f"ascending series for J_{nu} stalled after {acc.max_series_terms} terms")
 
 
@@ -202,51 +232,73 @@ def _abs_max(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+# the downward recurrence's value at each point's start index
+_MILLER_SEED = 1e-30
+
+
+def _miller_start(z: np.ndarray) -> np.ndarray:
+    # each point's start index of the downward recurrence, made even so
+    # that its normalization sum ends on y_0
+    n = (z + 10.0 * np.sqrt(z) + 24.0).astype(int)
+    n += n & 1
+    return n
+
+
 def _j_downward(mu: float, keep, z: np.ndarray, acc: EvalAccuracy):
     """J_{mu+j}(z) for each j >= 0 in keep via the normalized recurrence.
 
-    mu must lie in (0, 1).
+    mu must lie in (0, 1) and z above 8.  Each point starts at its own
+    Miller index (_miller_start) with y = _MILLER_SEED, and before that its
+    y is exactly 0.  On every 8th step, each point whose |y| exceeds 1e250
+    is rescaled by 1e-250.  So a value does not depend on the other points
+    of z.  From the 1e-30 seed, |y| stays below 1e205 up to z = 1e5 (1e17
+    at z = 20), so only a switchover far above the default rescales.
     """
-    zmax = float(np.max(z))
+    starts = _miller_start(z)
+    nstart = int(np.max(starts))
     zmin = float(np.min(z))
-    nstart = int(zmax + 10.0 * math.sqrt(zmax) + 24.0)
-    nstart += nstart % 2  # even, so the normalization sum ends on y_0
 
     # Gamma(mu + k)/k! for k = 0 .. nstart/2
     coeff = [_gamma(mu)]
     for k in range(1, nstart // 2 + 1):
         coeff.append(coeff[-1] * (mu + k - 1.0) / k)
 
+    # the points that start below nstart, by start index
+    seeds = {}
+    for n in range(int(np.min(starts)), nstart, 2):
+        idx = np.flatnonzero(starts == n)
+        if len(idx):
+            seeds[n] = idx
     inv_z2 = 2.0 / z
     y_up = np.zeros_like(z)
-    y = np.full_like(z, 1e-30)
+    y = np.where(starts == nstart, _MILLER_SEED, 0.0)
     # upper bound on max(|y|, |y_up|): one step grows it at most by
-    # 2 |mu + j + 1| / zmin + 1, widened by 1e-12 for rounding, so the exact
-    # maximum is taken only on steps where it could pass 1e250
-    bound = 1e-30
-    norm = np.zeros_like(z)
+    # 2 |mu + j + 1| / zmin + 1, widened by 1e-12 for rounding, so |y| is
+    # examined only on steps where some point could pass 1e250.  Below a
+    # point's start that factor is under 17 for z > 8, so |y| cannot
+    # overflow between two rescale steps (1e250 * 17^8 < 1e260).
+    bound = _MILLER_SEED
+    norm = (mu + nstart) * coeff[nstart // 2] * y
     saved = {}
-    if nstart % 2 == 0:
-        norm += (mu + nstart) * coeff[nstart // 2] * y
     # always recurse down to j = 0: the normalization sum needs every even
     # index, whatever orders the caller keeps
     for j in range(nstart - 1, -1, -1):
         y_dn = (mu + j + 1.0) * inv_z2 * y - y_up
         y_up = y
         y = y_dn
+        if j in seeds:
+            y[seeds[j]] = _MILLER_SEED
         if j % 2 == 0:
             norm += (mu + j) * coeff[j // 2] * y
+        bound *= (2.0 * abs(mu + j + 1.0) / zmin + 1.0) * (1.0 + 1e-12)
+        if j % 8 == 0 and bound > 1e250:
+            if _abs_max(y) > 1e250:
+                scale = np.where(np.abs(y) > 1e250, 1e-250, 1.0)
+                y, y_up, norm = y * scale, y_up * scale, norm * scale
+                saved = {key: val * scale for key, val in saved.items()}
+            bound = max(_abs_max(y), _abs_max(y_up))
         if j in keep:
             saved[j] = y
-        bound *= (2.0 * abs(mu + j + 1.0) / zmin + 1.0) * (1.0 + 1e-12)
-        if bound > 1e250:
-            if _abs_max(y) > 1e250:
-                y *= 1e-250
-                y_up *= 1e-250
-                norm *= 1e-250
-                for key in saved:
-                    saved[key] = saved[key] * 1e-250
-            bound = max(_abs_max(y), _abs_max(y_up))
     factor = (0.5 * z) ** mu / norm
     return {j: saved[j] * factor for j in saved}
 
@@ -312,9 +364,13 @@ def _jy_asymptotic(nu: float, z: np.ndarray, acc: EvalAccuracy):
             "asymptotic expansion cannot reach the target below z = "
             f"{float(np.min(z[err > 10.0 * acc.target_rel_error])):.3g}"
         )
-    omega = z - (0.5 * nu + 0.25) * math.pi
-    c = np.cos(omega)
-    s = np.sin(omega)
+    # cos and sin of omega = z - theta by the addition theorems, so that
+    # libm reduces z itself exactly: the rounded z - theta is off by up to
+    # ulp(z)/2 (3e-6 at z = 1e12) and has lost theta entirely by z = 1e17
+    theta = (0.5 * nu + 0.25) * math.pi
+    cos_z, sin_z = np.cos(z), np.sin(z)
+    c = cos_z * math.cos(theta) + sin_z * math.sin(theta)
+    s = sin_z * math.cos(theta) - cos_z * math.sin(theta)
     amp = np.sqrt(2.0 / (math.pi * z))
     return amp * (p * c - q * s), amp * (p * s + q * c)
 

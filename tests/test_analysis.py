@@ -114,6 +114,20 @@ class TestFindZeros:
         assert np.all((b_lo <= start) & (start < b_hi))
         assert max_brackets is None or len(b_lo) == max_brackets
 
+    @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
+    def test_first_roots_do_not_depend_on_the_cap(self, m, c1, c2):
+        # every value of w depends on its own z alone, so each bracket is
+        # refined the same way whatever other brackets share its evaluations
+        params = PhysicalParams(m=m)
+        consts = SolutionConstants(c1=c1, c2=c2)
+        first = [(eta.hex(), w.hex())
+                 for eta, w in find_zeros((0.1, 300.0), params, consts, max_roots=10).roots]
+        assert len(first) == 10
+        for cap in (3, 11, 1000, 0):
+            roots = find_zeros((0.1, 300.0), params, consts, max_roots=cap).roots
+            n = min(cap or 10, 10)
+            assert [(eta.hex(), w.hex()) for eta, w in roots[:n]] == first[:n], cap
+
     def test_scan_stops_once_max_roots_are_bracketed(self, params, consts, monkeypatch):
         # the (0.1, 3000) eta range holds ~2e6 mesh points in z
         points = []

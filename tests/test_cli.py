@@ -181,6 +181,30 @@ class TestEval:
         assert cells[2] == "near_pole"
         assert lines[2].split(",")[2] == ""
 
+    def test_q_at_large_eta_matches_mpmath_or_exits_nonzero(self, capsys, params):
+        # z reaches 7e17 here, where a phase z - nu pi/2 - pi/4 rounded in
+        # double precision loses nu; Q is compared at the z the program
+        # forms from each eta, since z itself carries a rounding of ~10
+        mp = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(capsys, ["eval", "--field", "Q", "--eta", "1e9:2e9:3"])
+        if code != 0:
+            assert out == ""
+            return
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        with mp.workdps(30):
+            for eta_cell, q_cell, flag in rows:
+                eta = float(eta_cell)
+                z = mp.mpf(float(core._z_arg(eta, params)))
+                d = mp.besselj(0.25, z) - mp.bessely(0.25, z)
+                dprime = mp.besselj(0.25, z, 1) - mp.bessely(0.25, z, 1)
+                if flag == "near_pole":
+                    assert q_cell == ""
+                    assert abs(d / (dprime * 2 * z / eta)) < 1e-9
+                    continue
+                q = -mp.mpf(eta) / 8 * (1 - z * dprime / d) / d
+                assert abs(float(q_cell) - q) <= 1e-10 * abs(q)
+
     def test_lab_field(self, capsys):
         code, out, _ = run_cli(capsys, [
             "eval", "--field", "S", "--x", "1.0", "--y", "1.0", "--t", "1.0"])
@@ -369,14 +393,9 @@ class TestLabEvalVectorized:
         assert [r[:3] for r in rows] == order
         got = np.array([r[3] for r in rows])
         want = np.array([self.scalar(name, x, y, t, params, consts) for x, y, t in order])
-        if name in ("u", "v", "S"):
-            assert np.array_equal(got, want)
-        else:
-            # the array kernels sum and recur per array, not per point, so
-            # values differ at rounding level; measured against the largest
-            # magnitude of the same (t, y) row
-            envelope = np.abs(want).reshape(6, 56).max(axis=1).repeat(56)
-            assert np.max(np.abs(got - want) / envelope) <= 1e-11
+        # every value depends on its own point alone, so the whole raster
+        # and the one-point scalar calls agree bit for bit
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["rho", "u", "v", "S", "psi_re", "psi_im"])
     def test_nonpositive_t_exit_2(self, capsys, name):
@@ -426,6 +445,37 @@ class TestLabEvalVectorized:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "d6b69d2518d96a53b9a30bbc6847a282a18e94635cc72b879713a9ef8a7813cc")
+
+
+class TestBlockSize:
+    """Output bytes do not depend on the block size of core's array kernels.
+
+    Block sizes 1 and 7 run on small grids, 4096 on grids that it splits;
+    each is compared with the whole array in one block.
+    """
+
+    SMALL = {"f": ["--eta", "0.1:20:300:log"], "Q": ["--eta", "0.1:20:300:log"],
+             "rho": ["--x", "0.2:12:60", "--y", "0.3", "--t", "0.5:2:3:log"],
+             "psi_re": ["--x", "0.2:12:60", "--y", "0.3", "--t", "0.5:2:3:log"]}
+    LARGE = {"f": ["--eta", "0.1:20:9000:log"], "Q": ["--eta", "0.1:20:9000:log"],
+             "rho": ["--x", "0.2:12:3000", "--y", "0.3", "--t", "0.5:2:3:log"],
+             "psi_re": ["--x", "0.2:12:3000", "--y", "0.3", "--t", "0.5:2:3:log"]}
+
+    def digest(self, capsys, monkeypatch, name, grid, size):
+        monkeypatch.setattr(core, "_BLOCK", size)
+        code, out, _ = run_cli(capsys, ["eval", "--field", name] + grid)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", list(SMALL))
+    def test_same_bytes_at_every_block_size(self, capsys, monkeypatch, name):
+        whole = 10**9
+        small = {size: self.digest(capsys, monkeypatch, name, self.SMALL[name], size)
+                 for size in (1, 7, whole)}
+        assert len(set(small.values())) == 1
+        large = {size: self.digest(capsys, monkeypatch, name, self.LARGE[name], size)
+                 for size in (4096, whole)}
+        assert len(set(large.values())) == 1
 
 
 class TestInputContract:

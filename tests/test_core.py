@@ -1,11 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from madelung import core
 from madelung.core import (
     LAB_FIELDS,
     ComplexAmplitude,
@@ -114,6 +116,21 @@ class TestShapeDensity:
                 shape_density(eta, params, consts)
             with pytest.raises(DomainError):
                 simplified_shape_density(eta, params, consts)
+
+    def test_million_points_hold_a_few_blocks_of_temporaries(self, params, consts):
+        # blocks bound the temporaries: the peak is the output plus at most
+        # eight times what one block's evaluation allocates
+        eta = np.geomspace(0.1, 50.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            shape_density(eta[:core._BLOCK], params, consts)
+            block = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            out = shape_density(eta, params, consts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * block
 
 
 class TestSimplificationEquivalence:
@@ -353,6 +370,24 @@ class TestLabFieldArray:
                     u, v = velocity(LabPoint(*pt), prm, cst)
                     assert (u.hex(), v.hex()) == (hexes("u", pt, prm, cst),
                                                   hexes("v", pt, prm, cst))
+
+    def test_scalar_api_bit_equal_to_lab_field_across_regimes(self):
+        # z = m (x + y)^2 / (4 sqrt(2) t) runs from 0.03 to 52, across the
+        # series/recurrence switch at 8 and the Hankel switch at 20
+        params = PhysicalParams(m=1.0)
+        consts = SolutionConstants(c1=0.4, c2=-1.2, c0=0.3)
+        x, y, t = np.meshgrid(np.linspace(0.2, 13.0, 81), [0.3], [0.6, 1.0, 1.7],
+                              indexing="ij")
+        scalar = {"rho": lambda p: density(p, params, consts),
+                  "u": lambda p: velocity(p, params, consts)[0],
+                  "v": lambda p: velocity(p, params, consts)[1],
+                  "S": lambda p: phase(p, params),
+                  "psi_re": lambda p: wavefunction_canonical(p, params, consts).re,
+                  "psi_im": lambda p: wavefunction_canonical(p, params, consts).im}
+        points = [LabPoint(*pt) for pt in zip(x.ravel(), y.ravel(), t.ravel())]
+        for name in LAB_FIELDS:
+            arr = lab_field(name, x, y, t, params, consts).ravel()
+            assert [v.hex() for v in arr.tolist()] == [scalar[name](p).hex() for p in points]
 
     def test_psi_modulus_squared_is_rho(self, params, consts):
         rho = lab_field("rho", self.XS, self.YS, self.TS, params, consts)

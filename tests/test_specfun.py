@@ -216,10 +216,29 @@ class TestCrossProduct:
 
 
 # ---------------------------------------------------------------------------
-# the shared evaluator against the per-order evaluation it replaced
+# the shared evaluator against a per-order evaluation of each point alone
+
+
+def _ref_j_series(nu, z, acc):
+    # the ascending series of a one-point array, summed until its term passes
+    # the stopping test
+    half = 0.5 * z
+    term = half**nu / specfun._gamma(nu + 1.0)
+    total = term.copy()
+    scale = np.abs(term)
+    q = -(half * half)
+    for k in range(1, acc.max_series_terms + 1):
+        term = term * q / (k * (nu + k))
+        total += term
+        np.maximum(scale, np.abs(total), out=scale)
+        if np.all(np.abs(term) <= 1e-2 * acc.target_rel_error * (scale + specfun._TINY)):
+            return total
+    raise AssertionError("reference series did not converge")
 
 
 def _ref_j_downward(mu, j_lo, j_hi, z):
+    # the normalized downward recurrence of a one-point array from its own
+    # Miller start, rescaled on every 8th step where |y| exceeds 1e250
     zmax = float(np.max(z))
     nstart = int(zmax + 10.0 * math.sqrt(zmax) + 24.0)
     nstart += nstart % 2
@@ -228,7 +247,7 @@ def _ref_j_downward(mu, j_lo, j_hi, z):
         coeff.append(coeff[-1] * (mu + k - 1.0) / k)
     inv_z2 = 2.0 / z
     y_up = np.zeros_like(z)
-    y = np.full_like(z, 1e-30)
+    y = np.full_like(z, specfun._MILLER_SEED)
     norm = np.zeros_like(z)
     saved = {}
     if nstart % 2 == 0:
@@ -239,15 +258,14 @@ def _ref_j_downward(mu, j_lo, j_hi, z):
         y = y_dn
         if j >= 0 and j % 2 == 0:
             norm += (mu + j) * coeff[j // 2] * y
-        if j_lo <= j <= j_hi:
-            saved[j] = y
-        big = np.max(np.abs(y))
-        if big > 1e250:
-            y *= 1e-250
-            y_up *= 1e-250
-            norm *= 1e-250
+        if j % 8 == 0 and np.max(np.abs(y)) > 1e250:
+            y = y * 1e-250
+            y_up = y_up * 1e-250
+            norm = norm * 1e-250
             for key in saved:
                 saved[key] = saved[key] * 1e-250
+        if j_lo <= j <= j_hi:
+            saved[j] = y
     factor = (0.5 * z) ** mu / norm
     return {j: saved[j] * factor for j in saved}
 
@@ -268,19 +286,27 @@ def _ref_j_recurrence(nu, z):
     return y
 
 
+_REF_POINTS = {}
+
+
+def _ref_j_point(nu, zi, acc):
+    # J_nu at one z by the regime that z falls in, memoized: the tests ask
+    # for the same orders on the same grids many times
+    key = (nu, zi, acc, specfun._MILLER_SEED)
+    if key not in _REF_POINTS:
+        z = np.array([zi])
+        if zi <= min(specfun._SERIES_MAX, acc.series_switchover):
+            val = _ref_j_series(nu, z, acc)
+        elif zi <= acc.series_switchover:
+            val = _ref_j_recurrence(nu, z)
+        else:
+            val = specfun._jy_asymptotic(nu, z, acc)[0]
+        _REF_POINTS[key] = val[0]
+    return _REF_POINTS[key]
+
+
 def _ref_j_array(nu, z, acc):
-    out = np.empty_like(z)
-    cut = min(specfun._SERIES_MAX, acc.series_switchover)
-    lo = z <= cut
-    mid = (z > cut) & (z <= acc.series_switchover)
-    hi = z > acc.series_switchover
-    if np.any(lo):
-        out[lo] = specfun._j_series(nu, z[lo], acc)
-    if np.any(mid):
-        out[mid] = _ref_j_recurrence(nu, z[mid])
-    if np.any(hi):
-        out[hi] = specfun._jy_asymptotic(nu, z[hi], acc)[0]
-    return out
+    return np.array([_ref_j_point(nu, float(zi), acc) for zi in z])
 
 
 def _ref_y_array(nu, z, acc):
@@ -317,9 +343,9 @@ def _bits(a):
 
 
 QUARTERS = list(range(-11, 12, 2))
-# z grids crossing the series/recurrence switch at 12 and the Hankel switch at 20
-Z_CROSSING = np.concatenate([np.geomspace(0.05, 11.9, 37), [12.0, 12.0000001],
-                             np.linspace(12.3, 19.9, 23), [20.0, 20.0000001],
+# z grids crossing the series/recurrence switch at 8 and the Hankel switch at 20
+Z_CROSSING = np.concatenate([np.geomspace(0.05, 7.9, 35), [8.0, 8.0000001],
+                             np.linspace(8.3, 19.9, 30), [20.0, 20.0000001],
                              np.geomspace(20.5, 900.0, 31)])
 
 
@@ -345,10 +371,12 @@ class TestSharedEvaluator:
             assert _bits(val) == _bits(_ref(kind, nu, z, k, acc)), (kind, nu, k)
 
     def test_rescale_branch_runs_on_the_reference_iterations(self, monkeypatch):
-        # with the switchover at 200 the recurrence starts near n = 365 and
-        # passes 1e250, so the rescale path must run and still match
+        # with the switchover at 200 the recurrence starts near n = 365; from
+        # the 1e-30 seed it would need z of about 2e5 to pass 1e250, so the
+        # seed is raised to 1e230, and the rescale path must run and still match
         acc = EvalAccuracy(series_switchover=200.0)
         z = np.linspace(12.5, 200.0, 61)
+        monkeypatch.setattr(specfun, "_MILLER_SEED", 1e230)
         seen = []
         real = specfun._abs_max
 
@@ -396,75 +424,119 @@ class TestKernelCallCounts:
         assert calls["hankel"] == 7
 
 
-class TestGoldenDigests:
-    """Output bytes captured from the per-order evaluator before the shared one.
+class TestAccuracyMap:
+    """J, Y and derivatives 1-3 of the twelve quarter orders against oracles.
 
-    The `zeros` and `integrate` CSV digests were captured again when root
-    refinement moved from regula falsi to safeguarded Newton: eta*,
-    q_pole_eta and F moved at rounding level (at most 7.5e-13, 7.6e-13
-    and 0.03 of the err cell).  The `figure fig1`, `figure fig2` and
-    `verify --c0 0.25` digests were captured before w, the lab fields and
-    the shape constants moved into core, and pin that move.  Every grid
-    crosses both regime switches (z = 12 and z = 20).  The digests hold
-    for the numpy build they were captured with (numpy 2.4.6, x86-64): the
-    Bessel kernels call numpy's cos, sin and power, whose last bit may
-    differ on other builds.
+    The error of each value is measured relative to the envelope
+    sqrt(J^(k)^2 + Y^(k)^2) of its order and derivative, and must stay
+    within the default target_rel_error.  The oracles give J and Y of every
+    order the derivatives combine (nu - k + 2i), and the derivatives are
+    formed from them by the order-shift sum.  scipy serves z up to 1e12;
+    beyond that its phase reduction fails, and mpmath serves z = 1e13 to
+    1e17.
+    """
+
+    WANTED = [(kind, q / 4.0, k) for q in QUARTERS for k in range(4) for kind in "JY"]
+    ORDERS = sorted({nu - k + 2 * i for _, nu, k in WANTED for i in range(k + 1)})
+
+    def check(self, z, jv, yv):
+        # jv and yv map each order to J and Y on z
+        got = specfun._jy(z, self.WANTED, DEFAULT_ACCURACY)
+        for (kind, nu, k), val in zip(self.WANTED, got):
+            shift = [(-1) ** i * math.comb(k, i) / 2**k for i in range(k + 1)]
+            dj, dy = (np.array(sum(c * values[nu - k + 2 * i] for i, c in enumerate(shift)),
+                               dtype=float) for values in (jv, yv))
+            err = np.abs(val - (dj if kind == "J" else dy)) / np.hypot(dj, dy)
+            worst = int(np.argmax(err))
+            assert err[worst] <= DEFAULT_ACCURACY.target_rel_error, (kind, nu, k, z[worst])
+
+    def test_dense_across_the_regime_switches(self):
+        sp = pytest.importorskip("scipy.special")
+        edges = np.array([8.0, 12.0, 20.0])
+        z = np.concatenate([np.geomspace(1e-3, 7.0, 200), np.arange(7.0, 21.0, 5e-3),
+                            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 30.0),
+                            np.geomspace(21.0, 1e12, 200)])
+        self.check(z, {nu: sp.jv(nu, z) for nu in self.ORDERS},
+                   {nu: sp.yv(nu, z) for nu in self.ORDERS})
+
+    def test_large_arguments(self):
+        mp = pytest.importorskip("mpmath")
+        # 1.77e17 is z at eta = 1e9 for m = 1, d = 2
+        z = np.array([1e13, 1e15, 1e17, float(core._z_arg(1e9, core.PhysicalParams(m=1.0)))])
+        with mp.workdps(25):
+            jv = {nu: np.array([mp.besselj(nu, mp.mpf(zi)) for zi in z]) for nu in self.ORDERS}
+            yv = {nu: np.array([mp.bessely(nu, mp.mpf(zi)) for zi in z]) for nu in self.ORDERS}
+            self.check(z, jv, yv)
+
+
+class TestGoldenDigests:
+    """Output bytes of CLI commands and library arrays.
+
+    Every digest was captured again, with tests/oracle_dev/capture_digests.py,
+    when each Bessel value became a function of its own z alone (per-point
+    series stop and recurrence start, the series switch lowered from z = 12
+    to 8, the Hankel phase by the addition theorems).  That change moved
+    values at rounding level and was checked against scipy and mpmath, not
+    by byte identity.  Every grid crosses both regime switches (z = 8 and
+    z = 20).  The digests hold for the numpy build they were captured with
+    (numpy 2.4.6, x86-64): the Bessel kernels call numpy's cos, sin and
+    power, whose last bit may differ on other builds.
     """
 
     # (argv, exit status, SHA-256 of the --output CSV, SHA-256 of stdout)
     CLI = [
         ('verify --which all', 3,
-         "2ddaf41778d3c2f2fda49beefdfe75055ca18083359cce5daef9eadca4489344",
-         "8feea0813c46ee25825c6fb5c53c687c211f41b3487d650671a1cce5c09d9391"),
+         "1d84768a9033fee116287c78bc8a810f7e85778e6ec9f285e760ce012fde5df0",
+         "7d64eac8b61f724c430295fbde52897d784f13724798f5d2f28ecfa1353b1fa1"),
         ('verify --which all --m 2 --c1 3 --c2 -1', 3,
-         "ecca0d7d4b7ed9854653b0aad748da5c033fa676d2a72687ac6024282de0647f",
-         "e3c92028920d2e6ccecf59293a7bc42c744c0adec0dfc80274858d916dee245f"),
+         "4a13027a0ede4e9d1ec44b80027323ca879b00c7bc6649050b7857c901526a04",
+         "bf4d861729ea53a51f11b28e1702ffb0b1d7cea6e3abf40bb166c666ae473fcf"),
         ('zeros --range 0.1:40 --max-roots 10', 0,
-         "0e9eb917bf82df487c524e9e1dd7a294d4919f730d02061ec919832d32b71ee7",
+         "3016f5f6a363511c8724c3bd9ee0379a288406bdd7eeebb270779e9dc96c6608",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('zeros --range 0.1:300 --max-roots 1000', 0,
-         "a550cd0685fdda0dd8b0691d358292afa24a313d4403113ca2189461cb96a788",
+         "d91b3fc8a7eb5ad31deb906a8044d387cae4656ca7e0d285a1e0a57f245a0e5c",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('zeros --range 0.1:300 --max-roots 1000 --m 0.5', 0,
-         "094bb6d46d1beabf2b74490ade85b6f1829b957501cdd282a817f39014194ac7",
+         "26965b010ef72e057f0f3ebb2fe6dbe3e6c383130ab092f3734bd4e3484db342",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('integrate --limits 10,100,1000,1e4', 0,
-         "265dab568c69d3d215ca71760266d057a758c3cbfaeb10ad341d76254e02329d",
+         "0f416b2ae86313d932d50f633443a93f2fb7400b06de6d16178c15b886fbb8a8",
          "a91a60c63da55ef9319ea47169e7631c383106d3074588da522f82464b36d1d9"),
         ('integrate --limits 5,50,500 --m 2 --c1 3 --c2 -1', 0,
-         "3599d74f1a478ddea61bc04dcc3e9d1920fb6c7bc4f046396cc75d093eb477e6",
+         "b895690c248ba06d91c09743054173e1857e5c0f06b1413e0c9291b780d9b5fe",
          "14c93c6bfdc7d561a5f59c724ee63ff68c7fc1febc908658e90630e7bed7ace2"),
         ('eval --field f --eta 0.1:20:3001:log', 0,
-         "7737baf6658028b31d64527483955c1691ed0cb72c5281f52b52604aacf8aa6c",
+         "28f5ce29d2d1e2f81ab86e553cc52f35cb0becc663b9a7552d01ad1da5022444",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('eval --field Q --eta 0.1:20:3001:log', 0,
-         "033a6cf90c3b4156c7795cc51fde85e4c0128a9cfc9a638bd597df27d565866c",
+         "68a2592fe03273a6cadda2caef6e45ed0e01667df67328204da7e2287aa07c7b",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('eval --field rho --x 0.2:12:400 --y 0.3 --t 0.5:2:3:log', 0,
-         "b7bd46ea01c5684deb3e73956d784981ac54c18f4c5723b0c5c648cb85f4dbb4",
+         "eb092ec2fe0089f7abc3ba15d95092a3fddb8f8fb355355706ab3a6c712a1c1a",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('eval --field psi_re --x 0.2:12:400 --y 0.3 --t 0.5:2:3:log', 0,
-         "66ddb53e101ce3354c1f61b2f00dfb1bbee5c21c02e28dd2530d893c2a65690c",
+         "68df66e76c7d5c759a83f3387542ab75148683bb40c07591b24d83815ccd30b4",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('figure fig3', 0,
-         "0c9e756331e77d0efb73a43a2a46bd98cbc0ff88217038e781bd7d5e0ca2c93e",
+         "8fa7ae9879f39607384fceb1964c17313be5144b746ab92578279cfad58027a1",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('figure fig3 --m 2 --c1 3 --c2 -1', 0,
-         "ff572bad45a3dc977f73cf656abeab251deb6dac94505c2d0787ba48a76044d1",
+         "647fe8bacccb5eb5d999dc1a06cebf8c76eb65cee64b4fb473caf6458f6dbc9d",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('figure fig1', 0,
-         "98e395cd27337ee2d9bce30b7ddf665feb7e7065a1386e9a5c992123d95e3447",
+         "58abb1db3bb38d36cf482c66a7ed491347590542243b90e2b7d037bf4eecae25",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('figure fig2', 0,
-         "045ee4c8c056d3995594764687aa61228b695b2199bafe5416357d64e7097f9b",
+         "73bb8ae718f196719b8fe4cca3ad582c811161b646cd3b42c3cc7847a751a556",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('figure fig2 --m 2 --c1 3 --c2 -1', 0,
-         "cd72311f84ead8e4205a71445ebd3ba4fb60f3518b2a31119f6fa54cbc1f9cc6",
+         "535eb7205a0ee234f3a153dfd5ce5850029e782aa86aed7370a61e47cc6adbdd",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         # a nonzero c0 reaches verify's own lab velocity u
         ('verify --which all --c0 0.25', 3,
-         "c632d3c5ed896dd4501f08e63dc67ed0e4850c5e04eba55e6941dce382c74133",
-         "bf93875f11f1351e1f71e77b67474cb0d06c2b8e6a96ec92b2e04fccec928103"),
+         "ede96305cd50908132cf14c654bb16f1667b2f7e8cf8abb59a5b8869cc0e41d2",
+         "6f17588ef7134066600aec798a044671b3a28e3a37b3e30f73cb82b42caf17a0"),
     ]
 
     @pytest.mark.parametrize("argv,code,csv_sha,out_sha", CLI, ids=[c[0] for c in CLI])
@@ -475,14 +547,14 @@ class TestGoldenDigests:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == out_sha
 
     LIBRARY = {
-        "psi_eq8": "6b358d87fe8d8d692917d65709f9a7eea77eff7d4c2a86487079d6bba3044d3b",
-        "psi_canonical": "4979877d199ae272d26284ab414a6b69928d1928d363c2d9b1749a22b7c2c63f",
-        "eq8_points": "de0be8512503624a8ee74c42ff2fa77f05a0949c7b971f6e52b84371db1aac9e",
-        "shape_derivatives3": "d884deb48d0ce8d39b3ff242917167988507a076de2e2c1a76d54293d33ce83b",
-        "zero_distance": "16b4f16e54174d180b0a6ff5a7f35b9d753add55f4964853ed26cba31ef829ea",
-        "c_squared": "1c390836c008cc5f4dbd494632142b0de737c8213c122c318d0646eb7b969964",
-        "d_fn": "14b0c015f938cb75af287921fd2d6e8c0ef7a0b32c189b43caf61d9d0e19ca21",
-        "q9_masked": "e7175933c85d7b815b9a751c0cc088006922eb32ed566ff8180d9987d2241dfd",
+        "psi_eq8": "f721bbfff8ac6ca0983875656b4643c10dd41ae67ab3afcc3c937d1f94d1dd79",
+        "psi_canonical": "c3327c371f94fa9669b837cb244fe36aed9a3899ef369ed644abc54097f195b6",
+        "eq8_points": "345d4ccb0935619f4388ed383026bccc31cdce4405645ab4707e2bb635374ea3",
+        "shape_derivatives3": "14d72a631748404f466fe9f60512a55019868ffc12e2a6a13fe26763569a0bba",
+        "zero_distance": "4df33799acfa8dc8be4b5961b945ae8a1650a21839798b720b8f6056151178f4",
+        "c_squared": "b401f5c490a0148036a39b885c7aeb9bd221ce1312586a5ccdfc14023429460b",
+        "d_fn": "8ecf4f33cb3a44caf482ea06f65889b63861c84bc21b81bded003f38b7ea45cb",
+        "q9_masked": "e8f6996486bdbf2ad4e742f1a2553fd1ace8bf0c657a34b4b6b58f56fd56ba03",
     }
 
     @staticmethod
