@@ -408,7 +408,7 @@ def _tail_ends(zs, consts, acc):
     two_psi_cos = (consts.c2**2 - consts.c1**2) / (consts.c1**2 + consts.c2**2)
     two_psi_sin = 2.0 * consts.c1 * consts.c2 / (consts.c1**2 + consts.c2**2)
 
-    j, y = specfun._jy_asymptotic(0.25, zs, acc)
+    (j,), (y,) = specfun._jy_asymptotic([0.25], zs, acc)
     m2 = j * j + y * y
     cos2t = (j * j - y * y) / m2
     sin2t = 2.0 * j * y / m2

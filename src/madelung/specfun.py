@@ -14,9 +14,8 @@ Three evaluation regimes are used for the Bessel functions:
   above ``series_switchover``.
 
 One private evaluator, ``_jy``, serves every caller: it splits a z array
-into the regimes once and computes each series order, each ladder
-mu + n (mu = 1/4 or 3/4; one recurrence gives every shift n) and each
-Hankel order once, however many values and derivatives share them.
+into the regimes once, and one pass of each regime's kernel serves every
+order a request needs, as the rows of one (orders, points) array.
 
 Every regime evaluates each point on its own, so a value depends only on
 its own argument, never on the other points of the array it comes with.
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -60,6 +60,11 @@ _TINY = 1e-300
 # the series compacts its running points only in arrays at least this long;
 # below it compacting saved no time (measured on 8 to 512 points)
 _COMPACT_MIN = 64
+
+# elements (rows x points) of one stacked kernel pass; longer arrays run in
+# parts (measured fastest of 16384, 32768 and 65536 elements on the blocks of
+# a 1e6-point field evaluation: larger stacked arrays fall out of the cache)
+_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -177,42 +182,51 @@ def gamma(x: float) -> float:
 # regime 1: ascending series
 
 
-def _j_series(nu: float, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
-    """Ascending series for J_nu, valid for z <= _SERIES_MAX.
+def _column(values) -> np.ndarray:
+    # per-order scalars as an (orders, 1) column: each stacked element sees its order's operations
+    return np.array(values, dtype=float).reshape(-1, 1)
 
-    Each point stops at its own first term k >= 1 with |term| <= 1e-2
-    target (scale + tiny), scale the largest partial sum so far, and its
-    value is the partial sum through that term, whatever other points
-    share the array.  A stopped point's later terms are zeroed; once at
-    least half of the running points have stopped, they are written out
-    and dropped (arrays below _COMPACT_MIN points are never compacted).
+
+def _j_series(orders, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
+    """Ascending series for J_nu, one row per nu in orders, for z <= _SERIES_MAX.
+
+    Each element stops at its own first term k >= 1 with |term| <= 1e-2
+    target (scale + tiny), scale its largest partial sum so far, and its
+    value is the partial sum through that term; its later terms are zeroed.
+    Once at least half of the running points have stopped in every order,
+    they are written out and dropped (never below _COMPACT_MIN points).
     """
+    ks = np.arange(1, acc.max_series_terms + 1)[:, None, None]
+    denom = ks * (_column(orders) + ks)  # k (nu + k) for each k, as a column
     half = 0.5 * z
-    term = half**nu / _gamma(nu + 1.0)
-    total = term.copy()
-    scale = np.abs(term)
+    term = np.array([half**v / _gamma(v + 1.0) for v in orders])
+    total, scale = term.copy(), np.abs(term)
     q = -(half * half)
     out = idx = None  # idx: the running points' positions in out, once compacted
     for k in range(1, acc.max_series_terms + 1):
-        term = term * q / (k * (nu + k))
+        term = term * q / denom[k - 1]
         total += term
         np.maximum(scale, np.abs(total), out=scale)
         done = np.abs(term) <= 1e-2 * acc.target_rel_error * (scale + _TINY)
         stopped = np.count_nonzero(done)
-        if stopped == len(done):
+        if stopped == done.size:
             if idx is None:
                 return total
-            out[idx] = total
+            out[:, idx] = total
             return out
-        if 2 * stopped >= len(done) >= _COMPACT_MIN:
-            if idx is None:
-                out, idx = np.empty_like(total), np.arange(len(total))
-            stop = np.flatnonzero(done)
-            out[idx[stop]] = total[stop]
-            run = np.flatnonzero(~done)
-            idx, term, total, scale, q = (a.take(run) for a in (idx, term, total, scale, q))
-        else:
-            np.copyto(term, 0.0, where=done)
+        if stopped:
+            term *= ~done  # a stopped term is finite, so this zeroes it
+        if 2 * stopped >= done.size and done.shape[1] >= _COMPACT_MIN:
+            finished = done.all(axis=0)
+            stop = np.flatnonzero(finished)
+            if 2 * len(stop) >= len(finished):
+                if idx is None:
+                    out, idx = np.empty_like(total), np.arange(len(q))
+                out[:, idx[stop]] = total[:, stop]
+                run = np.flatnonzero(~finished)
+                idx, q = idx.take(run), q.take(run)
+                term, total, scale = (a.take(run, axis=1) for a in (term, total, scale))
+    nu = min(nu for nu, ok in zip(orders, done.all(axis=1)) if not ok)
     raise ConvergenceError(f"ascending series for J_{nu} stalled after {acc.max_series_terms} terms")
 
 
@@ -227,8 +241,7 @@ def _j_series(nu: float, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
 
 
 def _abs_max(a: np.ndarray) -> float:
-    # exact max |a|; the downward recurrence calls it only once its running
-    # bound passes the rescale threshold
+    # exact max |a|, taken only once the recurrence's running bound passes 1e250
     return float(np.max(np.abs(a)))
 
 
@@ -237,60 +250,60 @@ _MILLER_SEED = 1e-30
 
 
 def _miller_start(z: np.ndarray) -> np.ndarray:
-    # each point's start index of the downward recurrence, made even so
-    # that its normalization sum ends on y_0
+    # each point's start index, made even so that its normalization sum ends on y_0
     n = (z + 10.0 * np.sqrt(z) + 24.0).astype(int)
     n += n & 1
     return n
 
 
-def _j_downward(mu: float, keep, z: np.ndarray, acc: EvalAccuracy):
-    """J_{mu+j}(z) for each j >= 0 in keep via the normalized recurrence.
+def _j_recurrence(orders, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
+    """J_nu, one row per nu in orders, for _SERIES_MAX < z <= switchover.
 
-    mu must lie in (0, 1) and z above 8.  Each point starts at its own
-    Miller index (_miller_start) with y = _MILLER_SEED, and before that its
-    y is exactly 0.  On every 8th step, each point whose |y| exceeds 1e250
-    is rescaled by 1e-250.  So a value does not depend on the other points
-    of z.  From the 1e-30 seed, |y| stays below 1e205 up to z = 1e5 (1e17
-    at z = 20), so only a switchover far above the default rescales.
+    Each ladder mu + n (mu = nu - floor(nu), 1/4 or 3/4) is a row of one
+    downward recurrence, which gives every shift n >= 0; negative shifts
+    extend below mu after normalization.  Each point starts at its own
+    Miller index with y = _MILLER_SEED (y = 0 before it), and every 8th step
+    rescales each element with |y| > 1e250 by 1e-250, so a value depends on
+    its own z alone (from the 1e-30 seed, |y| < 1e205 up to z = 1e5).
     """
+    shifts = [math.floor(nu) for nu in orders]
+    mus = sorted({nu - n for nu, n in zip(orders, shifts)})
+    mu = _column(mus)
+    low = min(shifts)
+    keep = {n for n in shifts if n >= 0} | ({0, 1} if low < 0 else set())
     starts = _miller_start(z)
     nstart = int(np.max(starts))
     zmin = float(np.min(z))
-
-    # Gamma(mu + k)/k! for k = 0 .. nstart/2
-    coeff = [_gamma(mu)]
-    for k in range(1, nstart // 2 + 1):
-        coeff.append(coeff[-1] * (mu + k - 1.0) / k)
-
+    # per step j, the columns mu + j + 1 and (mu + j) Gamma(mu + j/2)/(j/2)!
+    coeff = [list(accumulate(range(1, nstart // 2 + 1), lambda c, k: c * (m + k - 1.0) / k,
+                             initial=_gamma(m))) for m in mus]
+    js = np.arange(nstart + 1)
+    step = ((mu + js) + 1.0).T[:, :, None]
+    weight = ((mu + js) * np.array(coeff)[:, js // 2]).T[:, :, None]
     # the points that start below nstart, by start index
-    seeds = {}
-    for n in range(int(np.min(starts)), nstart, 2):
-        idx = np.flatnonzero(starts == n)
-        if len(idx):
-            seeds[n] = idx
+    seeds = {n: np.flatnonzero(starts == n) for n in set(starts.tolist()) - {nstart}}
     inv_z2 = 2.0 / z
-    y_up = np.zeros_like(z)
-    y = np.where(starts == nstart, _MILLER_SEED, 0.0)
+    y_up = np.zeros((len(mus), len(z)))
+    y = y_up + np.where(starts == nstart, _MILLER_SEED, 0.0)
     # upper bound on max(|y|, |y_up|): one step grows it at most by
-    # 2 |mu + j + 1| / zmin + 1, widened by 1e-12 for rounding, so |y| is
-    # examined only on steps where some point could pass 1e250.  Below a
-    # point's start that factor is under 17 for z > 8, so |y| cannot
-    # overflow between two rescale steps (1e250 * 17^8 < 1e260).
+    # 2 |mu + j + 1| / zmin + 1 for the largest mu, widened by 1e-12 for
+    # rounding, so |y| is examined only where some element could pass 1e250.
+    # That factor is under 17 for z > 8: no overflow between rescale steps.
     bound = _MILLER_SEED
-    norm = (mu + nstart) * coeff[nstart // 2] * y
+    norm = weight[nstart] * y
     saved = {}
     # always recurse down to j = 0: the normalization sum needs every even
     # index, whatever orders the caller keeps
     for j in range(nstart - 1, -1, -1):
-        y_dn = (mu + j + 1.0) * inv_z2 * y - y_up
-        y_up = y
-        y = y_dn
+        y_dn = step[j] * inv_z2
+        y_dn *= y
+        y_dn -= y_up
+        y_up, y = y, y_dn
         if j in seeds:
-            y[seeds[j]] = _MILLER_SEED
+            y[:, seeds[j]] = _MILLER_SEED
         if j % 2 == 0:
-            norm += (mu + j) * coeff[j // 2] * y
-        bound *= (2.0 * abs(mu + j + 1.0) / zmin + 1.0) * (1.0 + 1e-12)
+            norm += weight[j] * y
+        bound *= (2.0 * abs(mus[-1] + j + 1.0) / zmin + 1.0) * (1.0 + 1e-12)
         if j % 8 == 0 and bound > 1e250:
             if _abs_max(y) > 1e250:
                 scale = np.where(np.abs(y) > 1e250, 1e-250, 1.0)
@@ -299,78 +312,68 @@ def _j_downward(mu: float, keep, z: np.ndarray, acc: EvalAccuracy):
             bound = max(_abs_max(y), _abs_max(y_up))
         if j in keep:
             saved[j] = y
-    factor = (0.5 * z) ** mu / norm
-    return {j: saved[j] * factor for j in saved}
-
-
-def _j_ladder(mu: float, shifts, z: np.ndarray, acc: EvalAccuracy) -> dict:
-    """J_{mu+n}(z) for every integer shift n in shifts, from one recurrence.
-
-    For _SERIES_MAX < z <= switchover and mu in {1/4, 3/4}.  Negative shifts
-    extend below mu with the same (stable) recurrence after normalization.
-    """
-    low = min(shifts)
-    keep = {n for n in shifts if n >= 0} | ({0, 1} if low < 0 else set())
-    vals = _j_downward(mu, keep, z, acc)
-    if low < 0:
-        y_up, y = vals[1], vals[0]
-        order = mu
-        for n in range(-1, low - 1, -1):
-            y_dn = (2.0 * order / z) * y - y_up
-            y_up = y
-            y = y_dn
-            order -= 1.0
-            vals[n] = y
-    return {n: vals[n] for n in shifts}
+    factor = np.array([(0.5 * z) ** m for m in mus]) / norm
+    vals = {j: saved[j] * factor for j in saved}
+    for n in range(-1, low - 1, -1):  # the order mu + n + 1 is exact
+        vals[n] = (2.0 * (mu + n + 1) / z) * vals[n + 1] - vals[n + 2]
+    return np.array([vals[n][mus.index(nu - n)] for nu, n in zip(orders, shifts)])
 
 
 # ---------------------------------------------------------------------------
 # regime 3: Hankel asymptotic expansion (large z)
 
 
-def _jy_asymptotic(nu: float, z: np.ndarray, acc: EvalAccuracy):
-    """(J_nu, Y_nu) from the large-argument expansion.
+def _below_ulp(term, p, q) -> bool:
+    # every |term| <= spacing(min(|p|, |q|))/8, so p + term and q + term round to p and q
+    return bool((np.abs(term) <= np.spacing(np.minimum(np.abs(p), np.abs(q))) / 8.0).all())
 
-    Terms are accumulated per point until they stop decreasing
-    (superasymptotic truncation); the first neglected term bounds the error.
+
+def _jy_asymptotic(orders, z: np.ndarray, acc: EvalAccuracy):
+    """(J_nu, Y_nu), one row per nu in orders, from the large-argument expansion.
+
+    Each element adds terms until they stop decreasing (superasymptotic
+    truncation; the first neglected term bounds the error), and its later
+    terms are zeroed.  The loop ends once every term is _below_ulp: each
+    later term is smaller still, so p and q equal those of all 39 terms.
     """
+    nu = _column(orders)
     mu4 = 4.0 * nu * nu
-    p = np.ones_like(z)
-    q = np.zeros_like(z)
-    term = np.ones_like(z)
-    prev_mag = np.full_like(z, np.inf)
-    frozen = np.zeros(z.shape, dtype=bool)
-    err = np.zeros_like(z)
+    p = np.ones((len(orders), len(z)))
+    q, term, prev_mag = np.zeros_like(p), np.ones_like(p), np.full_like(p, np.inf)
+    bad = np.zeros(p.shape, dtype=bool)  # stopped at a term above the target
+    limit = 10.0 * acc.target_rel_error
+    last = (int(np.argmax(mu4)), int(np.argmin(z)))  # as a rule, the last to settle
     for k in range(1, 40):
         term = term * (mu4 - (2 * k - 1) ** 2) / (k * 8.0 * z)
         mag = np.abs(term)
         stop = mag >= prev_mag
-        newly = stop & ~frozen
-        err[newly] = mag[newly]
-        frozen |= stop
-        active = ~frozen
-        if not np.any(active):
-            break
-        signed = term * (-1.0) ** ((k // 2) % 2)
-        if k % 2:
-            q[active] += signed[active]
-        else:
-            p[active] += signed[active]
+        if stop.any():
+            bad |= stop & (mag > limit)
+            term *= ~stop  # a stopped term that overflowed gives NaN, but is bad
         prev_mag = mag
-    still = ~frozen
-    err[still] = np.abs(term[still])
-    if np.any(err > 10.0 * acc.target_rel_error):
+        x = q if k % 2 else p  # x += term * (-1)^(k // 2); x - t is x + (-t) exactly
+        (np.subtract if (k // 2) % 2 else np.add)(x, term, out=x)
+        if (abs(term[last]) <= math.ulp(min(abs(p[last]), abs(q[last]))) / 8.0
+                and _below_ulp(term, p, q)):
+            # a term that would stop an element later is at most the step
+            # ratio times this one: the error test decides as with 39 terms
+            ratio = max((abs(m - (2 * i - 1) ** 2) / (8.0 * i * float(z[last[1]]))
+                         for m in mu4.ravel().tolist() for i in range(k + 1, 40)), default=1.0)
+            if float(np.max(np.abs(term))) * max(ratio, 1.0) <= limit:
+                break
+    bad |= np.abs(term) > limit
+    if np.any(bad):
+        row = bad[int(np.flatnonzero(bad.any(axis=1))[0])]
         raise ConvergenceError(
-            "asymptotic expansion cannot reach the target below z = "
-            f"{float(np.min(z[err > 10.0 * acc.target_rel_error])):.3g}"
-        )
+            f"asymptotic expansion cannot reach the target below z = {float(np.min(z[row])):.3g}")
     # cos and sin of omega = z - theta by the addition theorems, so that
     # libm reduces z itself exactly: the rounded z - theta is off by up to
     # ulp(z)/2 (3e-6 at z = 1e12) and has lost theta entirely by z = 1e17
-    theta = (0.5 * nu + 0.25) * math.pi
+    cos_t, sin_t = (_column([f((0.5 * v + 0.25) * math.pi) for v in orders])
+                    for f in (math.cos, math.sin))
     cos_z, sin_z = np.cos(z), np.sin(z)
-    c = cos_z * math.cos(theta) + sin_z * math.sin(theta)
-    s = sin_z * math.cos(theta) - cos_z * math.sin(theta)
+    c = cos_z * cos_t + sin_z * sin_t
+    s = sin_z * cos_t - cos_z * sin_t
     amp = np.sqrt(2.0 / (math.pi * z))
     return amp * (p * c - q * s), amp * (p * s + q * c)
 
@@ -385,70 +388,72 @@ def _orders(nu: float, k: int):
     return [nu - k + 2 * i for i in range(k + 1)]
 
 
+def _in_chunks(kernel, orders, z: np.ndarray, acc: EvalAccuracy, rows: int):
+    # kernel(orders, z, acc) on parts of at most _CHUNK // rows points, joined; if a part
+    # fails to converge, one pass over all of z raises the error an unchunked pass would
+    size = max(1, _CHUNK // rows)
+    if len(z) <= size:
+        return kernel(orders, z, acc)
+    try:
+        parts = [kernel(orders, z[i:i + size], acc) for i in range(0, len(z), size)]
+    except ConvergenceError:
+        return kernel(orders, z, acc)
+    return np.concatenate(parts, axis=-1)
+
+
+def _positions(mask: np.ndarray):
+    # where mask holds, as a slice if contiguous (z in order): then no gather copies
+    idx = np.flatnonzero(mask)
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def _jy(z: np.ndarray, wanted, acc: EvalAccuracy) -> list:
     """J_nu, Y_nu and their derivatives on one z array, sharing the work.
 
     wanted holds (kind, nu, k) triples: the k-th derivative (k = 0 for the
-    value, else 1, 2 or 3) of J_nu for kind "J" or of Y_nu for kind "Y".
-    Returns one array per triple.  z is split into the three regimes once;
-    then each series order, each ladder mu + n (one downward recurrence per
-    mu) and each Hankel order is computed once, and only the orders the
-    triples need are kept.  Y comes from J_{+-nu} by the connection formula
-    in the convergent regimes and from the Hankel expansion beyond them.
+    value, else 1, 2 or 3) of J_nu for kind "J" or of Y_nu for kind "Y";
+    one array per triple is returned, shaped like z.  One kernel pass per
+    regime (_in_chunks) serves every order.  Y comes from J_{+-nu} by the
+    connection formula below the switchover and from Hankel's expansion above.
     """
-    j_orders, y_orders = set(), set()
-    for kind, nu, k in wanted:
-        (j_orders if kind == "J" else y_orders).update(_orders(nu, k))
-    kept = j_orders | y_orders
-    # J_{-nu} of every Y order is needed on the convergent points only
-    conv_orders = kept | {-nu for nu in y_orders}
+    kept = sorted({order for _, nu, k in wanted for order in _orders(nu, k)})
+    y_orders = sorted({order for kind, nu, k in wanted if kind == "Y" for order in _orders(nu, k)})
+    # rows: the kept orders, then the J_{-nu} that Y needs below the switchover
+    conv_orders = kept + sorted({-nu for nu in y_orders} - set(kept))
+    row = {nu: i for i, nu in enumerate(conv_orders)}
+    shape, z = z.shape, z.ravel()
     cut = min(_SERIES_MAX, acc.series_switchover)
-    lo = z <= cut
-    mid = (z > cut) & (z <= acc.series_switchover)
-    hi = z > acc.series_switchover
-    conv = ~hi
-    jv = {nu: np.zeros_like(z) for nu in sorted(conv_orders)}
-    if np.any(lo):
-        zl = z[lo]
-        for nu, arr in jv.items():
-            arr[lo] = _j_series(nu, zl, acc)
-    if np.any(mid):
-        zm = z[mid]
-        ladders = {}
-        for nu in jv:
-            shift = math.floor(nu)
-            ladders.setdefault(nu - shift, []).append(shift)
-        for mu, shifts in ladders.items():
-            for shift, val in _j_ladder(mu, shifts, zm, acc).items():
-                jv[mu + shift][mid] = val
-    yv = {nu: np.empty_like(z) for nu in sorted(y_orders)}
-    if np.any(hi):
-        zh = z[hi]
-        for nu in sorted(kept):
-            jh, yh = _jy_asymptotic(nu, zh, acc)
-            jv[nu][hi] = jh
-            if nu in yv:
-                yv[nu][hi] = yh
-    if np.any(conv):
-        for nu, out in yv.items():
-            # connection formula; the quarter orders are never integers, so
-            # sin(pi nu) is bounded away from zero
-            quarters = round(4.0 * nu)
-            cosv = math.cos(math.pi * quarters / 4.0)
-            sinv = _sinpi(quarters / 4.0)
-            out[conv] = (jv[nu][conv] * cosv - jv[-nu][conv]) / sinv
-            if -nu not in kept:
-                del jv[-nu]  # served only this Y
+    lo, mid, hi = (_positions(m) for m in (
+        z <= cut, (z > cut) & (z <= acc.series_switchover), z > acc.series_switchover))
+    jv = np.zeros((len(conv_orders), len(z)))
+    zl, zm, zh = z[lo], z[mid], z[hi]
+    if zl.size:
+        jv[:, lo] = _in_chunks(_j_series, conv_orders, zl, acc, len(conv_orders))
+    if zm.size:  # at most two ladders
+        jv[:, mid] = _in_chunks(_j_recurrence, conv_orders, zm, acc, 2)
+    # Y by the connection formula (the quarter orders are never integers, so
+    # sin(pi nu) is bounded away from zero); above the switchover the Hankel
+    # expansion overwrites it
+    cosv = _column([math.cos(math.pi * round(4.0 * nu) / 4.0) for nu in y_orders])
+    sinv = _column([_sinpi(round(4.0 * nu) / 4.0) for nu in y_orders])
+    yv = (jv[[row[nu] for nu in y_orders]] * cosv - jv[[row[-nu] for nu in y_orders]]) / sinv
+    if zh.size:
+        jh, yh = _in_chunks(_jy_asymptotic, kept, zh, acc, len(kept))
+        jv[:len(kept), hi] = jh
+        yv[:, hi] = yh[[kept.index(nu) for nu in y_orders]]
+    values = {("J", nu): jv[row[nu]] for nu in kept}
+    values.update((("Y", nu), yv[i]) for i, nu in enumerate(y_orders))
     results = []
     for kind, nu, k in wanted:
-        values = jv if kind == "J" else yv
         if k == 0:
-            results.append(values[nu])
+            results.append(values[kind, nu].reshape(shape))
             continue
         total = np.zeros_like(z)
         for i, order in enumerate(_orders(nu, k)):
-            total += (-1.0) ** i * math.comb(k, i) * values[order]
-        results.append(total / 2.0**k)
+            total += (-1.0) ** i * math.comb(k, i) * values[kind, order]
+        results.append((total / 2.0**k).reshape(shape))
     return results
 
 
@@ -459,8 +464,11 @@ def _check_z(z) -> np.ndarray:
     return arr
 
 
-def _as_output(arr: np.ndarray, scalar: bool):
-    return float(arr[0]) if scalar else arr
+def _evaluate(z, wanted, acc: EvalAccuracy, combine=lambda vals: vals[0]):
+    # combine(the _jy values) on the checked z; a float for a scalar z
+    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
+    out = combine(_jy(np.atleast_1d(_check_z(z)), wanted, acc))
+    return float(out[0]) if scalar else out
 
 
 def bessel_j(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
@@ -475,9 +483,7 @@ def bessel_j(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
     acc : EvalAccuracy
         Accuracy/regime configuration.
     """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    arr = np.atleast_1d(_check_z(z))
-    return _as_output(_jy(arr, [("J", nu.value, 0)], acc)[0], scalar)
+    return _evaluate(z, [("J", nu.value, 0)], acc)
 
 
 def bessel_y(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
@@ -487,17 +493,14 @@ def bessel_y(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
     convergent regime and from the asymptotic expansion beyond the
     switchover.
     """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    arr = np.atleast_1d(_check_z(z))
-    return _as_output(_jy(arr, [("Y", nu.value, 0)], acc)[0], scalar)
+    return _evaluate(z, [("Y", nu.value, 0)], acc)
 
 
 def _deriv(kind: str, nu: BesselOrder, z, k: int, acc: EvalAccuracy):
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    arr = np.atleast_1d(_check_z(z))
+    _check_z(z)
     if k not in (1, 2, 3):
         raise DomainError("derivative order must be 1, 2 or 3")
-    return _as_output(_jy(arr, [(kind, nu.value, k)], acc)[0], scalar)
+    return _evaluate(z, [(kind, nu.value, k)], acc)
 
 
 def bessel_j_deriv(nu: BesselOrder, z, k: int, acc: EvalAccuracy = DEFAULT_ACCURACY):
@@ -516,8 +519,5 @@ def cross_product(z, acc: EvalAccuracy = DEFAULT_ACCURACY):
     Analytically equal to -2/(pi z); evaluated here from the four
     functions so the identity remains an independent check.
     """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    arr = np.atleast_1d(_check_z(z))
-    jm, jp, ym, yp = _jy(arr, [("J", -0.75, 0), ("J", 0.25, 0),
-                               ("Y", -0.75, 0), ("Y", 0.25, 0)], acc)
-    return _as_output(jm * yp - jp * ym, scalar)
+    return _evaluate(z, [("J", -0.75, 0), ("J", 0.25, 0), ("Y", -0.75, 0), ("Y", 0.25, 0)],
+                     acc, lambda v: v[0] * v[3] - v[1] * v[2])

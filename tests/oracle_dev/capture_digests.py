@@ -4,7 +4,8 @@ Dev-time script, not part of the test run.  Runs every CLI and LIBRARY
 entry of TestGoldenDigests on this checkout and prints both lists in the
 test file's literal format, for manual transfer into the test file.
 Entries whose digests differ from the test file's are listed on stderr,
-old -> new.
+old -> new, and the exit status is then 1; it is 0 when every digest
+matches, so one run shows that a change kept every output byte.
 
     python tests/oracle_dev/capture_digests.py
 """
@@ -66,7 +67,8 @@ def main():
     print("    }")
     for line in changed:
         print(line, file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

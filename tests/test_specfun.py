@@ -115,8 +115,29 @@ class TestBesselJ:
         assert np.all(np.abs(conv - asym) <= 1e-9 * np.maximum(np.abs(conv), envelope))
 
     def test_asymptotic_cannot_reach_target_below_its_range(self):
-        with pytest.raises(ConvergenceError):
-            bessel_j(P14, 6.0, EvalAccuracy(series_switchover=5.0))
+        acc = EvalAccuracy(series_switchover=5.0)
+        with pytest.raises(ConvergenceError, match=r"cannot reach the target below z = 6$"):
+            bessel_j(P14, 6.0, acc)
+        # a request of four orders names the smallest z that fails
+        with pytest.raises(ConvergenceError, match=r"below z = 5\.5$"):
+            cross_product(np.array([30.0, 7.0, 5.5, 6.0, 9.0]), acc)
+
+    def test_asymptotic_error_names_the_smallest_z_of_a_long_array(self):
+        # longer than one stacked kernel pass; the smallest z comes last
+        z = np.random.default_rng(0).permutation(np.geomspace(5.2, 400.0, 20000))
+        with pytest.raises(ConvergenceError, match=r"below z = 5\.1$"):
+            cross_product(np.append(z, 5.1), EvalAccuracy(series_switchover=5.0))
+
+    def test_series_stall_names_the_first_order(self):
+        acc = EvalAccuracy(max_series_terms=10)
+        with pytest.raises(ConvergenceError,
+                           match=r"^ascending series for J_0\.25 stalled after 10 terms$"):
+            bessel_j(P14, 7.9, acc)
+        # Y_{1/4} needs J_{-1/4} and J_{1/4}: the lowest order is named
+        with pytest.raises(ConvergenceError, match=r"for J_-0\.25 stalled"):
+            bessel_y(P14, 7.9, acc)
+        with pytest.raises(ConvergenceError, match=r"for J_-0\.75 stalled"):
+            cross_product(np.array([2.0, 7.5, 6.0, 7.9]), acc)
 
 
 class TestBesselY:
@@ -286,6 +307,36 @@ def _ref_j_recurrence(nu, z):
     return y
 
 
+def _ref_jy_asymptotic(nu, z):
+    # Hankel's expansion of one order: all 39 terms, each point frozen at
+    # its first term that does not decrease
+    mu4 = 4.0 * nu * nu
+    p = np.ones_like(z)
+    q = np.zeros_like(z)
+    term = np.ones_like(z)
+    prev_mag = np.full_like(z, np.inf)
+    frozen = np.zeros(z.shape, dtype=bool)
+    for k in range(1, 40):
+        term = term * (mu4 - (2 * k - 1) ** 2) / (k * 8.0 * z)
+        mag = np.abs(term)
+        frozen |= mag >= prev_mag
+        active = ~frozen
+        if not np.any(active):
+            break
+        signed = term * (-1.0) ** ((k // 2) % 2)
+        if k % 2:
+            q[active] += signed[active]
+        else:
+            p[active] += signed[active]
+        prev_mag = mag
+    theta = (0.5 * nu + 0.25) * math.pi
+    cos_z, sin_z = np.cos(z), np.sin(z)
+    c = cos_z * math.cos(theta) + sin_z * math.sin(theta)
+    s = sin_z * math.cos(theta) - cos_z * math.sin(theta)
+    amp = np.sqrt(2.0 / (math.pi * z))
+    return amp * (p * c - q * s), amp * (p * s + q * c)
+
+
 _REF_POINTS = {}
 
 
@@ -300,7 +351,7 @@ def _ref_j_point(nu, zi, acc):
         elif zi <= acc.series_switchover:
             val = _ref_j_recurrence(nu, z)
         else:
-            val = specfun._jy_asymptotic(nu, z, acc)[0]
+            val = _ref_jy_asymptotic(nu, z)[0]
         _REF_POINTS[key] = val[0]
     return _REF_POINTS[key]
 
@@ -322,7 +373,7 @@ def _ref_y_array(nu, z, acc):
         sinv = specfun._sinpi(quarters / 4.0)
         out[conv] = (jp * cosv - jm) / sinv
     if np.any(hi):
-        out[hi] = specfun._jy_asymptotic(nu, z[hi], acc)[1]
+        out[hi] = _ref_jy_asymptotic(nu, z[hi])[1]
     return out
 
 
@@ -370,6 +421,38 @@ class TestSharedEvaluator:
         for (kind, nu, k), val in zip(wanted, got):
             assert _bits(val) == _bits(_ref(kind, nu, z, k, acc)), (kind, nu, k)
 
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+    @pytest.mark.parametrize("z_lo", [20.5, 1e3])
+    def test_hankel_bit_equal_up_to_1e17(self, shuffled, z_lo, monkeypatch):
+        # above z = 1e3 every term settles below an ulp of p and q within a
+        # few terms, so the expansion stops early; it must still match the
+        # reference's 39 terms bit for bit
+        z = np.geomspace(z_lo, 1e17, 41)
+        if shuffled:
+            z = np.random.default_rng(1).permutation(z)
+        exits = []
+        real = specfun._below_ulp
+
+        def spy(*args):
+            exits.append(real(*args))
+            return exits[-1]
+
+        monkeypatch.setattr(specfun, "_below_ulp", spy)
+        wanted = [(kind, q / 4.0, k) for q in QUARTERS for k in range(4) for kind in "JY"]
+        got = specfun._jy(z, wanted, DEFAULT_ACCURACY)
+        for (kind, nu, k), val in zip(wanted, got):
+            assert _bits(val) == _bits(_ref(kind, nu, z, k, DEFAULT_ACCURACY)), (kind, nu, k)
+        assert any(exits) == (z_lo == 1e3)
+
+    def test_hankel_early_stop_keeps_the_error_test(self):
+        # a target below the terms at which p and q settle: the expansion
+        # runs on instead of stopping early and failing the target
+        acc = EvalAccuracy(target_rel_error=1e-24)
+        z = np.geomspace(1e3, 1e17, 41)
+        wanted = [(kind, q / 4.0, 3) for q in (-11, 11) for kind in "JY"]
+        for (kind, nu, k), val in zip(wanted, specfun._jy(z, wanted, acc)):
+            assert _bits(val) == _bits(_ref(kind, nu, z, k, acc)), (kind, nu, k)
+
     def test_rescale_branch_runs_on_the_reference_iterations(self, monkeypatch):
         # with the switchover at 200 the recurrence starts near n = 365; from
         # the 1e-30 seed it would need z of about 2e5 to pass 1e250, so the
@@ -395,10 +478,14 @@ class TestSharedEvaluator:
 
 
 class TestKernelCallCounts:
+    """One pass per regime serves every order of a _jy request."""
+
+    ONE_EACH = {"series": 1, "recurrence": 1, "hankel": 1}
+
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"series": 0, "downward": 0, "hankel": 0}
-        for name, key in (("_j_series", "series"), ("_j_downward", "downward"),
+        counts = {"series": 0, "recurrence": 0, "hankel": 0}
+        for name, key in (("_j_series", "series"), ("_j_recurrence", "recurrence"),
                           ("_jy_asymptotic", "hankel")):
             real = getattr(specfun, name)
 
@@ -410,18 +497,20 @@ class TestKernelCallCounts:
         return counts
 
     def test_one_w_evaluation(self, calls, consts):
+        # J_{+-1/4} share the series and both ladders one recurrence
         core._w_bundle(Z_CROSSING, consts, DEFAULT_ACCURACY)
-        # J_{1/4} and J_{-1/4} by series, one recurrence per ladder, and
-        # one Hankel expansion giving J_{1/4} and Y_{1/4} together
-        assert calls == {"series": 2, "downward": 2, "hankel": 1}
+        assert calls == self.ONE_EACH
 
-    def test_shape_derivatives_one_recurrence_per_ladder(self, calls, params, consts):
+    def test_shape_derivatives_one_pass_per_regime(self, calls, params, consts):
+        # fourteen orders: -11/4 .. 13/4 on the 1/4 ladder, and their negatives
         eta = np.sqrt(Z_CROSSING / (params.m / (4.0 * math.sqrt(2.0))))
         verify.shape_derivatives(eta, params, consts, upto=3)
-        assert calls["downward"] <= 2
-        # seven orders -11/4 .. 13/4 on the 1/4 ladder, and their negatives
-        assert calls["series"] == 14
-        assert calls["hankel"] == 7
+        assert calls == self.ONE_EACH
+
+    def test_every_order_in_one_request(self, calls):
+        wanted = [(kind, q / 4.0, k) for q in QUARTERS for k in range(4) for kind in "JY"]
+        specfun._jy(Z_CROSSING, wanted, DEFAULT_ACCURACY)
+        assert calls == self.ONE_EACH
 
 
 class TestAccuracyMap:
