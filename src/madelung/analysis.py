@@ -4,9 +4,9 @@ Root finding works in the Bessel argument z = m eta^2 / (4 hbar sqrt(d)),
 where the zeros of the numerator factor w = c2 Y_{1/4} - c1 J_{1/4} are
 asymptotically pi-spaced, and maps the results back to eta.  Sign-change
 brackets from a scan are refined together by safeguarded Newton with the
-analytic derivative w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z), from
-C'_nu = C_{nu-1} - (nu/z) C_nu (DLMF 10.6.2); one evaluator request gives
-w and w', and a set of brackets takes about five evaluations.  The
+analytic derivative w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z) of core's w
+bundle, the same w' as the quantum potential's; one evaluator request
+gives w and w', and a set of brackets takes about five evaluations.  The
 potential's bracket denominator D = c1 J_{1/4} - c2 Y_{1/4} is -w, so
 pole matching runs the same Newton on w from each zero it checks.  The
 quadrature for the running integral of the density shape function uses
@@ -28,7 +28,6 @@ import numpy as np
 
 from . import specfun
 from .core import (
-    _FOUR_BESSELS,
     PhysicalParams,
     SolutionConstants,
     _k_const,
@@ -119,14 +118,9 @@ def _c_fn(consts, acc):
     return fn
 
 
-def _c_slope_fn(consts, acc):
-    # w = c2 Y_{1/4} - c1 J_{1/4} and w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z)
-    # (DLMF 10.6.2: C'_nu = C_{nu-1} - (nu/z) C_nu) from one request
-    def fn(z):
-        j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
-        w = consts.c2 * y - consts.c1 * j
-        return w, consts.c2 * ym - consts.c1 * jm - w / (4.0 * z)
-    return fn
+def _newton_fn(consts, acc):
+    # (w, w') for the Newton refinement of zeros and poles
+    return lambda z: _w_bundle(z, consts, acc, upto=1)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +138,9 @@ def _scan_mesh(z_lo: float, z_hi: float) -> np.ndarray:
     if start < z_hi:
         parts.append(np.arange(start, z_hi, math.pi / 4.0))
     parts.append(np.array([z_hi]))
-    mesh = np.concatenate(parts)
-    return np.unique(mesh)
+    # sorted, without repeats (np.unique's first call imports numpy.ma)
+    mesh = np.sort(np.concatenate(parts))
+    return mesh[np.concatenate(([True], mesh[1:] != mesh[:-1]))]
 
 
 def _refine_brackets(fn, lo, hi, sign_lo, z, width_tol):
@@ -245,7 +240,7 @@ def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
         return RootSet(())
     # keep the eta-width at or below 1e-10 even for small k
     wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(b_lo[0])))
-    z_a, z_b = _refine_brackets(_c_slope_fn(consts, acc), b_lo, b_hi, sign_lo,
+    z_a, z_b = _refine_brackets(_newton_fn(consts, acc), b_lo, b_hi, sign_lo,
                                 start, wtol)
     z_star = 0.5 * (z_a + z_b)
     eta_star = np.sqrt(z_star / k)
@@ -281,7 +276,7 @@ def match_poles(roots: RootSet, params: PhysicalParams,
         raise UnmatchedRoot(
             f"no pole bracket near eta = {float(eta_star[bad][0])!r}")
     wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(z_star[0])))
-    z_a, z_b = _refine_brackets(_c_slope_fn(consts, acc), lo, hi, np.sign(w_lo),
+    z_a, z_b = _refine_brackets(_newton_fn(consts, acc), lo, hi, np.sign(w_lo),
                                 z_star, wtol)
     eta_pole = np.sqrt(0.5 * (z_a + z_b) / k)
     sep = np.abs(eta_pole - eta_star)
@@ -393,9 +388,10 @@ def _modulus_series():
 def _tail_ends(zs, consts, acc):
     """Boundary terms of _tail_segment's by-parts integral at each z of zs.
 
-    Returns a dict from each z to its term.  One Hankel call serves every
-    z: that regime sums each point's series on its own, so the terms equal
-    those of one-point calls bit for bit.
+    Returns a dict from each z to its term.  One evaluator request serves
+    every z (above the default switchover, one Hankel pass): every Bessel
+    value depends on its own z alone, so the terms equal those of
+    one-point calls bit for bit.
     """
     s_ser = _modulus_series()
     # oscillatory part by parts: U = M^2/phi' = S^2/(pi z), 1/phi' = S/2
@@ -408,7 +404,7 @@ def _tail_ends(zs, consts, acc):
     two_psi_cos = (consts.c2**2 - consts.c1**2) / (consts.c1**2 + consts.c2**2)
     two_psi_sin = 2.0 * consts.c1 * consts.c2 / (consts.c1**2 + consts.c2**2)
 
-    (j,), (y,) = specfun._jy_asymptotic([0.25], zs, acc)
+    j, y = specfun._jy(zs, [("J", 0.25, 0), ("Y", 0.25, 0)], acc)
     m2 = j * j + y * y
     cos2t = (j * j - y * y) / m2
     sin2t = 2.0 * j * y / m2
@@ -517,7 +513,7 @@ def integrate_density(upper_limits, params: PhysicalParams,
     b_lo, b_hi, sign_lo, start = _bracket_zeros(
         _c_fn(consts, acc), 1e-8, min(z_cps[-1], _TAIL_START))
     if len(b_lo):
-        z_a, z_b = _refine_brackets(_c_slope_fn(consts, acc), b_lo, b_hi, sign_lo,
+        z_a, z_b = _refine_brackets(_newton_fn(consts, acc), b_lo, b_hi, sign_lo,
                                     start, 1e-10)
         zero_edges = 0.5 * (z_a + z_b)
     else:

@@ -187,13 +187,22 @@ _FOUR_BESSELS = (("J", 0.25, 0), ("Y", 0.25, 0), ("J", -0.75, 0), ("Y", -0.75, 0
 def _w_bundle(z, consts, acc, upto=0):
     """w = c2 Y_{1/4}(z) - c1 J_{1/4}(z) and its z-derivatives through `upto`.
 
-    Returns [w, w', ...], each from the order-shift recurrences.  The zeros
-    of w are the density zeros (f = (pi^2/64) eta w^2), and the quantum
-    potential's bracket denominator is D = -w.
+    Returns [w, w', ...].  w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z), from
+    C'_nu = C_{nu-1} - (nu/z) C_nu (DLMF 10.6.2), is the one w' of the
+    roots, the zero distance and Q.  w'' and w''' are the order-shift sums,
+    so a residual built from them compares values of independent orders.
+    The zeros of w are the density zeros (f = (pi^2/64) eta w^2), and the
+    quantum potential's bracket denominator is D = -w.
     """
-    vals = specfun._jy(z, [(kind, 0.25, k) for k in range(upto + 1)
-                           for kind in ("J", "Y")], acc)
-    return [consts.c2 * yk - consts.c1 * jk for jk, yk in zip(vals[::2], vals[1::2])]
+    wanted = list(_FOUR_BESSELS[:2 if upto == 0 else 4])
+    wanted += [(kind, 0.25, k) for k in range(2, upto + 1) for kind in ("J", "Y")]
+    j, y, *rest = specfun._jy(z, wanted, acc)
+    ws = [consts.c2 * y - consts.c1 * j]
+    if upto >= 1:
+        jm, ym, *rest = rest
+        ws.append(consts.c2 * ym - consts.c1 * jm - ws[0] / (4.0 * z))
+    ws += [consts.c2 * yk - consts.c1 * jk for jk, yk in zip(rest[::2], rest[1::2])]
+    return ws
 
 
 # points per block of the array field kernels (measured fastest of 4096,
@@ -296,13 +305,17 @@ def shape_velocity_sum(eta, consts: SolutionConstants):
     return (eta - consts.c0) / 2.0
 
 
+# dg/deta = dh/deta of the symmetric split
+_SPLIT_SLOPE = 0.25
+
+
 def shape_velocity_split(eta, consts: SolutionConstants):
     """Symmetric split g = h = (eta - c0)/4 of the velocity shape sum.
 
     Only g + h is constrained; the symmetric choice is the unique one
     respecting the x <-> y symmetry of the combination x + y.
     """
-    g = (eta - consts.c0) / 4.0
+    g = (eta - consts.c0) * _SPLIT_SLOPE
     return g, g
 
 
@@ -402,14 +415,36 @@ def wavefunction_eq8(p: LabPoint, params: PhysicalParams,
     """
     if not p.s > 0:
         raise DomainError("x + y must be positive")
-    z = np.atleast_1d(_z_arg(p.s / math.sqrt(p.t), params))
-    j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
-    cross = float((jm * y - j * ym)[0])
-    num = math.sqrt(2.0) * p.t**0.25 * float((-consts.c1 * j + consts.c2 * y)[0])
-    den = p.s**1.5 * _mass_scale(params) * cross
-    modulus = num / den
-    s = phase(p, params)
-    return ComplexAmplitude(modulus * math.cos(s), modulus * math.sin(s))
+    psi = complex(_psi_eq8(*(np.array([v]) for v in (p.x, p.y, p.t)), params, consts, acc)[0])
+    return ComplexAmplitude(psi.real, psi.imag)
+
+
+def _psi_eq8(x, y, t, params, consts, acc):
+    # wavefunction_eq8 on broadcast (x, y, t) arrays with x + y > 0
+    s = x + y
+    z = _z_arg(s / np.sqrt(t), params)
+    j, yv, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
+    cross = jm * yv - j * ym
+    num = math.sqrt(2.0) * t**0.25 * (-consts.c1 * j + consts.c2 * yv)
+    modulus = num / (s**1.5 * _mass_scale(params) * cross)
+    ph = params.m * s * s / (4.0 * params.hbar * t)
+    return modulus * np.exp(1j * ph)
+
+
+def _newton_distance(eta, z, w, w1):
+    # |w / (w' dz/deta)|, Newton's estimate of the eta-distance from eta to
+    # the nearest zero of w, and dz/deta = 2z/eta
+    dz_deta = 2.0 * z / eta
+    return np.abs(w / (w1 * dz_deta)), dz_deta
+
+
+def _zero_distance(eta, params, consts, acc):
+    """Newton estimate of the eta-distance to the nearest density zero,
+    plus the local half-oscillation width pi/(dz/deta)."""
+    eta = np.asarray(eta, dtype=float)
+    z = _z_arg(eta, params)
+    dist, dz_deta = _newton_distance(eta, z, *_w_bundle(z, consts, acc, upto=1))
+    return dist, np.pi / dz_deta
 
 
 def _q9_block(eta, params, consts, acc):
@@ -426,10 +461,8 @@ def _q9_block(eta, params, consts, acc):
     d, dprime = -w, -w1
     mm = _mass_scale(params)
     q = -pref * mm * mm * eta / 4.0 * (1.0 - z * dprime / d) / d
-    # Newton estimate of the eta-distance to the nearest zero of D
-    dz_deta = 2.0 * z / eta
-    dist = np.abs(d / (dprime * dz_deta))
-    return q, dist
+    # the poles of Q are the zeros of D, and so of w
+    return q, _newton_distance(eta, z, w, w1)[0]
 
 
 def _q9_terms(eta, params, consts, acc):

@@ -19,18 +19,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import specfun
 from .core import (
-    _FOUR_BESSELS,
     _SHAPE_AMPLITUDE,
+    _SPLIT_SLOPE,
     PhysicalParams,
     SolutionConstants,
     _k_const,
     _lab_arrays,
-    _mass_scale,
+    _psi_eq8,
     _simplified_shape_density_arr,
     _w_bundle,
     _z_arg,
+    _zero_distance,
+    shape_velocity_split,
+    shape_velocity_sum,
 )
 from .errors import DomainError, SingularityError, StepTooLarge, StiffnessError, ZeroCrossing
 from .series import SampleSeries
@@ -153,17 +155,6 @@ def shape_derivatives(eta, params, consts, acc=DEFAULT_ACCURACY, upto=2):
     return result
 
 
-def _zero_distance(eta, params, consts, acc):
-    """Newton estimate of the eta-distance to the nearest density zero,
-    plus the local half-oscillation width pi/(dz/deta)."""
-    eta = np.asarray(eta, dtype=float)
-    z = _z_arg(eta, params)
-    w, w1 = _w_bundle(z, consts, acc, upto=1)
-    dz_deta = 2.0 * z / eta
-    dist = np.abs(w / (w1 * dz_deta + 1e-300))
-    return dist, np.pi / dz_deta
-
-
 # ---------------------------------------------------------------------------
 # shape-equation residuals
 
@@ -206,9 +197,9 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
     if np.any(etas <= 0):
         raise DomainError("grid must lie in (0, inf)")
     f, f1, f2, f3 = shape_derivatives(etas, params, consts, acc, upto=3)
-    gh_sum = (etas - consts.c0) / 2.0
-    g = (etas - consts.c0) / 4.0
-    gp = 0.25
+    gh_sum = shape_velocity_sum(etas, consts)
+    g, _ = shape_velocity_split(etas, consts)
+    gp = _SPLIT_SLOPE
 
     cont = -0.5 * f - 0.5 * f1 * etas + f1 * gh_sum + f * 0.5
     cont_scale = np.maximum.reduce(
@@ -256,18 +247,9 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
 # lab-frame finite-difference residuals
 
 
-def _lab_fields(params, consts, acc):
-    rt = np.sqrt
-    c0 = consts.c0
-
-    def rho(x, y, t):
-        return _lab_arrays(("rho",), x, y, t, params, consts, acc,
-                           _simplified_shape_density_arr)[0]
-
-    def u(x, y, t):
-        return (x + y - c0 * rt(t)) / (4.0 * t)
-
-    return rho, u
+def _lab_fields(names, x, y, t, params, consts, acc):
+    # core's lab fields, with the simplified density shape for rho
+    return _lab_arrays(names, x, y, t, params, consts, acc, _simplified_shape_density_arr)
 
 
 def _mesh(space_grid, time_grid):
@@ -289,27 +271,24 @@ def _continuity_euler_max(space_grid, time_grid, params, consts, acc, h, hq):
     x, y, t = _mesh(space_grid, time_grid)
     if np.any(x + y - 2 * (h + hq) <= 0) or np.any(t - h <= 0):
         raise DomainError("finite-difference stencil leaves the domain")
-    rho, u = _lab_fields(params, consts, acc)
 
-    def d_x(f):
-        return (f(x + h, y, t) - f(x - h, y, t)) / (2 * h)
+    def diffs(dx, dy, dt):
+        # central differences of rho, rho u and u along (dx, dy, dt)
+        (rp, up), (rm, um) = (
+            _lab_fields(("rho", "u"), x + e * dx, y + e * dy, t + e * dt, params, consts, acc)
+            for e in (1.0, -1.0))
+        return (rp - rm) / (2 * h), (rp * up - rm * um) / (2 * h), (up - um) / (2 * h)
 
-    def d_y(f):
-        return (f(x, y + h, t) - f(x, y - h, t)) / (2 * h)
-
-    def d_t(f):
-        return (f(x, y, t + h) - f(x, y, t - h)) / (2 * h)
-
-    rho_t = d_t(rho)
-    flux_x = d_x(lambda *a: rho(*a) * u(*a))
-    flux_y = d_y(lambda *a: rho(*a) * u(*a))
+    rho_t, _, u_t = diffs(0.0, 0.0, h)
+    _, flux_x, u_x = diffs(h, 0.0, 0.0)
+    _, flux_y, u_y = diffs(0.0, h, 0.0)
     cont = rho_t + flux_x + flux_y
     cont_scale = np.maximum.reduce([np.abs(rho_t), np.abs(flux_x), np.abs(flux_y)])
 
     # quantum term by nested differences of sqrt(rho); the inner Laplacian
     # uses the wider step hq to keep its rounding noise below the budget
     def sq(xx, yy, tt_):
-        return np.sqrt(rho(xx, yy, tt_))
+        return np.sqrt(_lab_fields(("rho",), xx, yy, tt_, params, consts, acc)[0])
 
     def g_of(xx):
         ctr = sq(xx, y, t)
@@ -320,9 +299,9 @@ def _continuity_euler_max(space_grid, time_grid, params, consts, acc, h, hq):
     qpref = params.hbar**2 / (2.0 * params.m**2)
     q_x = qpref * (g_of(x + h) - g_of(x - h)) / (2 * h)
 
-    u_t = d_t(u)
-    adv_x = u(x, y, t) * d_x(u)
-    adv_y = u(x, y, t) * d_y(u)
+    [u] = _lab_fields(("u",), x, y, t, params, consts, acc)
+    adv_x = u * u_x
+    adv_y = u * u_y
     euler = u_t + adv_x + adv_y - q_x
     euler_scale = np.maximum.reduce(
         [np.abs(u_t), np.abs(adv_x), np.abs(adv_y), np.abs(q_x)])
@@ -390,23 +369,8 @@ def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
 
 
 def _psi_canonical(x, y, t, params, consts, acc):
-    # core's sqrt(rho) (cos S, sin S), with the simplified density shape
-    re, im = _lab_arrays(("psi_re", "psi_im"), x, y, t, params, consts, acc,
-                         _simplified_shape_density_arr)
+    re, im = _lab_fields(("psi_re", "psi_im"), x, y, t, params, consts, acc)
     return re + 1j * im
-
-
-def _psi_eq8(x, y, t, params, consts, acc):
-    # array form of core.wavefunction_eq8, which computes with floats: numpy's
-    # power and Python's ** differ in the last bit on some inputs
-    s = x + y
-    z = _z_arg(s / np.sqrt(t), params)
-    j, yv, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
-    cross = jm * yv - j * ym
-    num = math.sqrt(2.0) * t**0.25 * (-consts.c1 * j + consts.c2 * yv)
-    modulus = num / (s**1.5 * _mass_scale(params) * cross)
-    ph = params.m * s * s / (4.0 * params.hbar * t)
-    return modulus * np.exp(1j * ph)
 
 
 def _schrodinger_residual_arrays(space_grid, time_grid, params, consts, acc,
@@ -484,11 +448,11 @@ def residual_phase_gradient(space_grid: GridSpec, time_grid: GridSpec,
 
     The comparison is a deliverable, not a pass/fail check: the closed
     forms give (hbar/m) dS/dx = (x+y)/(2t) against u = (x+y)/(4t), a
-    systematic factor of two that is reported in the extras.
+    systematic factor of two that is reported in the extras.  u is core's
+    lab velocity, so a space grid with some x + y <= 0 raises DomainError.
     """
     x, y, t = _mesh(space_grid, time_grid)
-    _, u = _lab_fields(params, consts, DEFAULT_ACCURACY)
-    uval = u(x, y, t)
+    [uval] = _lab_fields(("u",), x, y, t, params, consts, DEFAULT_ACCURACY)
     grad_term = (x + y) / (2.0 * t)  # (hbar/m) dS/dx = (hbar/m) dS/dy
     res = uval - grad_term
     rel = np.abs(res) / np.maximum(np.abs(grad_term), 1e-300)

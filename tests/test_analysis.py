@@ -1,9 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from madelung import analysis
+from madelung import analysis, specfun
 from madelung.analysis import (
     QuadratureResult,
     RootSet,
@@ -113,6 +116,33 @@ class TestFindZeros:
         assert np.array_equal(sign_lo, sign[idx])
         assert np.all((b_lo <= start) & (start < b_hi))
         assert max_brackets is None or len(b_lo) == max_brackets
+
+    @pytest.mark.parametrize("z_lo,z_hi", [(1e-3, 0.5), (1e-9, 1.0), (0.01, 1.0), (0.2, 40.0),
+                                           (2.0, 300.0), (1.5, 1.6)])
+    def test_scan_mesh_equals_np_unique(self, z_lo, z_hi):
+        # the geometric part below z = 1 ends on z_hi or on 1.0, which the
+        # pi/4 steps may start from: repeats are dropped as np.unique does
+        lo = max(z_lo, 1e-8)
+        parts = [np.array([z_hi])]
+        if lo < 1.0:
+            parts.append(np.geomspace(lo, min(1.0, z_hi), 48))
+        if max(lo, 1.0) < z_hi:
+            parts.append(np.arange(max(lo, 1.0), z_hi, math.pi / 4.0))
+        expected = np.unique(np.concatenate(parts))
+        assert analysis._scan_mesh(z_lo, z_hi).tobytes() == expected.tobytes()
+
+    def test_zeros_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call (~13 ms), which every
+        # zeros subprocess would pay; a fresh interpreter shows the imports
+        code = ("import contextlib, io, sys\n"
+                "from madelung import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    status = cli.main(['zeros'])\n"
+                "print(status, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(analysis.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["0", "False"]
 
     @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
     def test_first_roots_do_not_depend_on_the_cap(self, m, c1, c2):
@@ -232,9 +262,9 @@ def bracket_set(m, c1, c2, name):
 
 
 def counting_slope_fn(monkeypatch):
-    """Patch analysis._c_slope_fn; returns one evaluation count per evaluator made."""
+    """Patch analysis._newton_fn; returns one evaluation count per evaluator made."""
     counts = []
-    real = analysis._c_slope_fn
+    real = analysis._newton_fn
 
     def counting(consts, acc):
         fn = real(consts, acc)
@@ -246,7 +276,7 @@ def counting_slope_fn(monkeypatch):
             return fn(z)
         return wrapped
 
-    monkeypatch.setattr(analysis, "_c_slope_fn", counting)
+    monkeypatch.setattr(analysis, "_newton_fn", counting)
     return counts
 
 
@@ -258,7 +288,7 @@ class TestRefinement:
         c_fn = analysis._c_fn(consts, DEFAULT_ACCURACY)
         r_a, r_b = regula_falsi_reference(c_fn, b_lo, b_hi, wtol)
         z_a, z_b = analysis._refine_brackets(
-            analysis._c_slope_fn(consts, DEFAULT_ACCURACY), b_lo, b_hi, sign_lo, start, wtol)
+            analysis._newton_fn(consts, DEFAULT_ACCURACY), b_lo, b_hi, sign_lo, start, wtol)
         assert np.all(np.abs(0.5 * (z_a + z_b) - 0.5 * (r_a + r_b)) <= 2.0 * wtol)
         assert np.all(z_b - z_a <= np.maximum(wtol, 2.0 * np.spacing(z_b)))
         f_a, f_b = np.split(c_fn(np.concatenate([z_a, z_b])), 2)
@@ -385,6 +415,24 @@ class TestIntegrateDensity:
         ends = real(zs, consts, DEFAULT_ACCURACY)
         for z in zs.tolist():
             assert ends[z] == real(np.array([z]), consts, DEFAULT_ACCURACY)[z]
+
+    def test_tail_ends_make_one_hankel_pass(self, consts, monkeypatch):
+        # _tail_ends asks the evaluator, which above the default switchover
+        # makes one pass of the Hankel kernel, bit-equal to calling it directly
+        zs = np.array([analysis._TAIL_START, 1e3, 1e4, 1e5])
+        passes = []
+        real = specfun._jy_asymptotic
+
+        def spy(orders, z, acc):
+            passes.append(len(z))
+            return real(orders, z, acc)
+
+        monkeypatch.setattr(specfun, "_jy_asymptotic", spy)
+        analysis._tail_ends(zs, consts, DEFAULT_ACCURACY)
+        assert passes == [4]
+        j, y = specfun._jy(zs, [("J", 0.25, 0), ("Y", 0.25, 0)], DEFAULT_ACCURACY)
+        (jh,), (yh,) = real([0.25], zs, DEFAULT_ACCURACY)
+        assert j.tobytes() == jh.tobytes() and y.tobytes() == yh.tobytes()
 
     def test_input_validation(self, params, consts):
         with pytest.raises(DomainError):

@@ -234,6 +234,16 @@ class TestVerifyCommand:
         assert "status=report" in out
         assert "gradient_over_velocity_mean = 2" in out
 
+    @pytest.mark.parametrize("grid", ["-1:1:5", "-2:0:3"])
+    def test_phase_nonpositive_space_grid_exit_2(self, capsys, tmp_path, grid):
+        # s = x + y <= 0 is outside the lab fields' domain, as in lab eval
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"grid.s = {grid}\n")
+        code, out, err = run_cli(capsys, ["verify", "--which", "phase", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert "x + y must be positive" in err
+
     def test_qpotential_reports_without_failing(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--which", "qpotential"])
         assert code == 0
@@ -297,6 +307,18 @@ class TestIntegrateCommand:
         assert "tail fit (log):" in out
         assert "tail fit (1/H):" in out
         assert "verdict:" in out
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("m,c1,c2", [(1.0, 1.0, 1.0), (2.0, 3.0, -1.0)])
+    def test_log_fit_gives_the_integral_law(self, capsys, m, c1, c2, dim):
+        # b = pi sqrt(d) (c1^2 + c2^2) hbar / (16 m), over the default limits
+        code, out, _ = run_cli(capsys, ["integrate", "--m", str(m), "--c1", str(c1),
+                                        "--c2", str(c2), "--dim", str(dim)])
+        assert code == 0
+        b = float(out.split(" b=")[1].split()[0])
+        law = math.pi * math.sqrt(dim) * (c1 * c1 + c2 * c2) / (16.0 * m)
+        assert abs(b - law) <= 1e-5 * law
 
 
 class TestFigureCommand:

@@ -29,12 +29,41 @@ from madelung.core import (
     wavefunction_eq8,
 )
 from madelung.errors import DomainError, NonFiniteOutput, SingularityError
+from madelung.specfun import DEFAULT_ACCURACY
 
 import reference_values as ref
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+class TestWBundle:
+    CONSTS = [(1.0, 1.0), (3.0, -1.0), (1.0, 0.0), (0.0, 1.0)]
+
+    @pytest.mark.parametrize("c1,c2", CONSTS)
+    def test_first_derivative_against_mpmath(self, c1, c2):
+        # w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z) against mpmath's derivatives,
+        # within 1e-13 of the envelope sqrt(c1^2 + c2^2) sqrt(J'^2 + Y'^2)
+        mp = pytest.importorskip("mpmath")
+        z = np.geomspace(1e-2, 1e3, 60)
+        _, w1 = core._w_bundle(z, SolutionConstants(c1=c1, c2=c2), DEFAULT_ACCURACY, upto=1)
+        with mp.workdps(30):
+            for zi, got in zip(z.tolist(), w1.tolist()):
+                jp = mp.besselj(0.25, mp.mpf(zi), derivative=1)
+                yp = mp.bessely(0.25, mp.mpf(zi), derivative=1)
+                env = math.hypot(c1, c2) * mp.sqrt(jp**2 + yp**2)
+                assert abs(got - (c2 * yp - c1 * jp)) <= 1e-13 * env, zi
+
+    @pytest.mark.parametrize("c1,c2", CONSTS)
+    def test_one_w_prime_for_every_request(self, c1, c2):
+        # roots and Q (upto=1) and the shape derivatives (upto=3) share w and w'
+        z = np.geomspace(1e-3, 1e4, 3001)
+        consts = SolutionConstants(c1=c1, c2=c2)
+        short = core._w_bundle(z, consts, DEFAULT_ACCURACY, upto=1)
+        full = core._w_bundle(z, consts, DEFAULT_ACCURACY, upto=3)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(short, full[:2]))
+        assert core._w_bundle(z, consts, DEFAULT_ACCURACY)[0].tobytes() == short[0].tobytes()
 
 
 class TestDomainTypes:

@@ -567,19 +567,23 @@ class TestGoldenDigests:
     to 8, the Hankel phase by the addition theorems).  That change moved
     values at rounding level and was checked against scipy and mpmath, not
     by byte identity.  Every grid crosses both regime switches (z = 8 and
-    z = 20).  The digests hold for the numpy build they were captured with
-    (numpy 2.4.6, x86-64): the Bessel kernels call numpy's cos, sin and
-    power, whose last bit may differ on other builds.
+    z = 20).  Q, fig3, verify and four library entries were captured once
+    more when w' took the one DLMF 10.6.2 form of core's w bundle and verify
+    took its lab velocity from core; capture_digests.py --parent measures
+    such moves against the parent checkout.  The digests hold for the
+    numpy build they were captured with (numpy 2.4.6, x86-64): the Bessel
+    kernels call numpy's cos, sin and power, whose last bit may differ on
+    other builds.
     """
 
     # (argv, exit status, SHA-256 of the --output CSV, SHA-256 of stdout)
     CLI = [
         ('verify --which all', 3,
-         "1d84768a9033fee116287c78bc8a810f7e85778e6ec9f285e760ce012fde5df0",
-         "7d64eac8b61f724c430295fbde52897d784f13724798f5d2f28ecfa1353b1fa1"),
+         "8f732431d5389b7606580d66eaca1ffac9d24ef4c0a1938ca51ea10753a2e97d",
+         "67dbb07d028cd1b638a5f62101f7095320242f59a2e01feb4873d71f91ab5bae"),
         ('verify --which all --m 2 --c1 3 --c2 -1', 3,
-         "4a13027a0ede4e9d1ec44b80027323ca879b00c7bc6649050b7857c901526a04",
-         "bf4d861729ea53a51f11b28e1702ffb0b1d7cea6e3abf40bb166c666ae473fcf"),
+         "c9348dd481868ddc62360fe4b2b104fd6424012acf5f02829ecf220f3c727d8a",
+         "86e473012143ffbe09ccfd1d02fbbc35a8fac879a7e4f9697332565f7bbb5fe1"),
         ('zeros --range 0.1:40 --max-roots 10', 0,
          "3016f5f6a363511c8724c3bd9ee0379a288406bdd7eeebb270779e9dc96c6608",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -599,7 +603,7 @@ class TestGoldenDigests:
          "28f5ce29d2d1e2f81ab86e553cc52f35cb0becc663b9a7552d01ad1da5022444",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('eval --field Q --eta 0.1:20:3001:log', 0,
-         "68a2592fe03273a6cadda2caef6e45ed0e01667df67328204da7e2287aa07c7b",
+         "02cf07084481036d9221336cc6543e458d530590b14bcb477fd960276430a489",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('eval --field rho --x 0.2:12:400 --y 0.3 --t 0.5:2:3:log', 0,
          "eb092ec2fe0089f7abc3ba15d95092a3fddb8f8fb355355706ab3a6c712a1c1a",
@@ -608,10 +612,10 @@ class TestGoldenDigests:
          "68df66e76c7d5c759a83f3387542ab75148683bb40c07591b24d83815ccd30b4",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('figure fig3', 0,
-         "8fa7ae9879f39607384fceb1964c17313be5144b746ab92578279cfad58027a1",
+         "fdadd421c353ee1dcb082cb86e4fb4990061b35ed24cbf84df27be280e5734ad",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('figure fig3 --m 2 --c1 3 --c2 -1', 0,
-         "647fe8bacccb5eb5d999dc1a06cebf8c76eb65cee64b4fb473caf6458f6dbc9d",
+         "d44d105a4e2515971443ec9581da551cb7fd7c4c7bd0e25f9b122d283edbaba9",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('figure fig1', 0,
          "58abb1db3bb38d36cf482c66a7ed491347590542243b90e2b7d037bf4eecae25",
@@ -622,10 +626,10 @@ class TestGoldenDigests:
         ('figure fig2 --m 2 --c1 3 --c2 -1', 0,
          "535eb7205a0ee234f3a153dfd5ce5850029e782aa86aed7370a61e47cc6adbdd",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-        # a nonzero c0 reaches verify's own lab velocity u
+        # a nonzero c0 reaches core's velocity split in every residual
         ('verify --which all --c0 0.25', 3,
-         "ede96305cd50908132cf14c654bb16f1667b2f7e8cf8abb59a5b8869cc0e41d2",
-         "6f17588ef7134066600aec798a044671b3a28e3a37b3e30f73cb82b42caf17a0"),
+         "0950f884c18b5603d3e080ea8849ac1dfa62809987c16103fc1ecaa7f52414c3",
+         "422d7b3f9ec4f1a14ad112649557aaf584792d6d190853390fb4b46f02badff7"),
     ]
 
     @pytest.mark.parametrize("argv,code,csv_sha,out_sha", CLI, ids=[c[0] for c in CLI])
@@ -638,12 +642,12 @@ class TestGoldenDigests:
     LIBRARY = {
         "psi_eq8": "f721bbfff8ac6ca0983875656b4643c10dd41ae67ab3afcc3c937d1f94d1dd79",
         "psi_canonical": "c3327c371f94fa9669b837cb244fe36aed9a3899ef369ed644abc54097f195b6",
-        "eq8_points": "345d4ccb0935619f4388ed383026bccc31cdce4405645ab4707e2bb635374ea3",
-        "shape_derivatives3": "14d72a631748404f466fe9f60512a55019868ffc12e2a6a13fe26763569a0bba",
-        "zero_distance": "4df33799acfa8dc8be4b5961b945ae8a1650a21839798b720b8f6056151178f4",
+        "eq8_points": "038c40b8108681faad6071feaf6bb1bb5aa0b922f64aade69ecf52159c0f5683",
+        "shape_derivatives3": "96d150d161092b2bd93bdd30b9e9a8c0404cebc946521fbc68bd9c14d612ee93",
+        "zero_distance": "61d4de23f6dbaa1bde749ddd69792558783dac35eba216d0a0f8eda941b40fc8",
         "c_squared": "b401f5c490a0148036a39b885c7aeb9bd221ce1312586a5ccdfc14023429460b",
         "d_fn": "8ecf4f33cb3a44caf482ea06f65889b63861c84bc21b81bded003f38b7ea45cb",
-        "q9_masked": "e8f6996486bdbf2ad4e742f1a2553fd1ace8bf0c657a34b4b6b58f56fd56ba03",
+        "q9_masked": "1bb66f99b735180e638a1a47ca8a4f7d3867c67108ce88f5ff5042d5ceec36ce",
     }
 
     @staticmethod
@@ -656,7 +660,7 @@ class TestGoldenDigests:
                               indexing="ij")
         z = core._z_arg(eta, p)
         if name == "psi_eq8":
-            return [verify._psi_eq8(x, y, t, p, c2, DEFAULT_ACCURACY)]
+            return [core._psi_eq8(x, y, t, p, c2, DEFAULT_ACCURACY)]
         if name == "psi_canonical":
             return [verify._psi_canonical(x, y, t, p, c, DEFAULT_ACCURACY)]
         if name == "eq8_points":
@@ -665,7 +669,7 @@ class TestGoldenDigests:
         if name == "shape_derivatives3":
             return verify.shape_derivatives(eta, p, c2, upto=3)
         if name == "zero_distance":
-            return verify._zero_distance(eta, p, c2, DEFAULT_ACCURACY)
+            return core._zero_distance(eta, p, c2, DEFAULT_ACCURACY)
         if name == "c_squared":
             return [analysis._c_fn(c2, DEFAULT_ACCURACY)(z) ** 2]
         if name == "d_fn":  # D = -w

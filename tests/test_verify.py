@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from madelung.core import PhysicalParams, SolutionConstants, simplified_shape_density
+from madelung.core import PhysicalParams, SolutionConstants, lab_field, simplified_shape_density
 from madelung.errors import DomainError, SingularityError, ZeroCrossing
 from madelung.verify import (
     GridSpec,
@@ -244,6 +244,16 @@ class TestResidualPhaseGradient:
         t = rep.points.column("t")
         assert np.allclose(rep.points.column("residual_x"),
                            -(x + y) / (4.0 * t), rtol=1e-13)
+
+    @pytest.mark.parametrize("c0", [0.0, 0.25, -0.3])
+    def test_velocity_is_core_lab_field(self, params, c0):
+        # the report's u is core's lab u to the bit; res = u - (x+y)/(2t) is
+        # exact, since the two terms lie within a factor of two of each other
+        consts = SolutionConstants(c1=1.0, c2=1.0, c0=c0)
+        rep = residual_phase_gradient(SPACE, TIME, params, consts)
+        x, y, t = (rep.points.column(n) for n in ("x", "y", "t"))
+        u = lab_field("u", x, y, t, params, consts)
+        assert np.array_equal(rep.points.column("residual_x"), u - (x + y) / (2.0 * t))
 
     def test_components_equal_and_ratio_two(self, params, consts):
         rep = residual_phase_gradient(SPACE, TIME, params, consts)
