@@ -28,6 +28,7 @@ import numpy as np
 
 from . import specfun
 from .core import (
+    GridSpec,
     PhysicalParams,
     SolutionConstants,
     _k_const,
@@ -39,7 +40,6 @@ from .core import (
 from .errors import DomainError, RangeTooNarrow, ToleranceNotMet, UnmatchedRoot
 from .series import SampleSeries
 from .specfun import DEFAULT_ACCURACY, EvalAccuracy
-from .verify import GridSpec
 
 __all__ = [
     "RootSet",
@@ -291,8 +291,17 @@ def match_poles(roots: RootSet, params: PhysicalParams,
 # quadrature
 
 
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+# 10-point Gauss-Legendre rule on [-1, 1], bit-equal to
+# np.polynomial.legendre.leggauss(10); literal values spare integrate the
+# numpy.polynomial import
+_GAUSS_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717])
+_GAUSS_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814])
 
 
 def _two_level(fn, a, b, nodes, weights):
@@ -518,7 +527,7 @@ def integrate_density(upper_limits, params: PhysicalParams,
         zero_edges = 0.5 * (z_a + z_b)
     else:
         zero_edges = np.empty(0)
-    nodes, weights = _leggauss(10)
+    nodes, weights = _GAUSS_NODES, _GAUSS_WEIGHTS
     # every tail segment starts at _TAIL_START or at the checkpoint before it
     tail_z = [z for z in z_cps if z > _TAIL_START]
     ends = _tail_ends(np.array([_TAIL_START] + tail_z), consts, acc) if tail_z else {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, core, verify
+from . import core
 from .errors import (
     DomainError,
     MadelungError,
@@ -57,6 +57,11 @@ class RunConfig:
 
 # rows formatted per write; bounds the writer's memory independently of the table
 CHUNK_ROWS = 4096
+# a table is written by several processes only when each gets at least this
+# many chunks; below that, forking costs more than it saves
+PARALLEL_MIN_CHUNKS = 8
+# characters per copy of a worker's text into the output
+_COPY_BLOCK = 65536
 
 
 @dataclass
@@ -72,7 +77,11 @@ class CsvTable:
     columns: list
 
     def write(self, fh):
-        """Write the table to a text stream, CHUNK_ROWS rows per write."""
+        """Write the table to a text stream, CHUNK_ROWS rows per write.
+
+        A large table is written by one process per usable CPU: see
+        _part_bounds and _write_parts.  The bytes are those of one process.
+        """
         if len(self.columns) != len(self.header):
             raise ValueError("ragged csv table: one column per header name")
         cols = []
@@ -84,24 +93,11 @@ class CsvTable:
             raise ValueError("ragged csv table: columns differ in length")
         fmts = ["%s" if c.dtype.kind == "U" else "%.17g" for c in cols]
         fh.write(",".join(self.header) + "\n")
-        for lo in range(0, nrows, CHUNK_ROWS):
-            chunk = [c[lo:lo + CHUNK_ROWS] for c in cols]
-            n = len(chunk[0])
-            blank = np.zeros((n, len(cols)), dtype=bool)
-            for j, c in enumerate(chunk):
-                if c.dtype.kind != "U":
-                    blank[:, j] = np.isnan(c)
-            # each run of rows with the same blank cells takes one % on a
-            # row format that has empty fields in the blank positions
-            cuts = (np.flatnonzero(np.any(blank[1:] != blank[:-1], axis=1)) + 1).tolist()
-            for start, stop in zip([0] + cuts, cuts + [n]):
-                mask = blank[start].tolist()
-                row_fmt = ",".join("" if b else f for f, b in zip(fmts, mask)) + "\n"
-                kept = [c[start:stop] for c, b in zip(chunk, mask) if not b]
-                cells = [None] * ((stop - start) * len(kept))
-                for j, c in enumerate(kept):
-                    cells[j::len(kept)] = c.tolist()
-                fh.write(row_fmt * (stop - start) % tuple(cells))
+        bounds = _part_bounds(nrows)
+        if len(bounds) > 2:
+            _write_parts(fh, cols, fmts, bounds)
+        else:
+            _write_rows(fh, cols, fmts, 0, nrows)
 
     def render(self) -> str:
         buf = io.StringIO()
@@ -109,7 +105,99 @@ class CsvTable:
         return buf.getvalue()
 
 
-def parse_grid(text: str) -> verify.GridSpec:
+def _write_rows(fh, cols, fmts, lo, hi):
+    """Format rows lo:hi of the columns into fh, CHUNK_ROWS rows per write."""
+    for first in range(lo, hi, CHUNK_ROWS):
+        chunk = [c[first:min(first + CHUNK_ROWS, hi)] for c in cols]
+        n = len(chunk[0])
+        blank = np.zeros((n, len(cols)), dtype=bool)
+        for j, c in enumerate(chunk):
+            if c.dtype.kind != "U":
+                blank[:, j] = np.isnan(c)
+        # each run of rows with the same blank cells takes one % on a
+        # row format that has empty fields in the blank positions
+        cuts = (np.flatnonzero(np.any(blank[1:] != blank[:-1], axis=1)) + 1).tolist()
+        for start, stop in zip([0] + cuts, cuts + [n]):
+            mask = blank[start].tolist()
+            row_fmt = ",".join("" if b else f for f, b in zip(fmts, mask)) + "\n"
+            kept = [c[start:stop] for c, b in zip(chunk, mask) if not b]
+            cells = [None] * ((stop - start) * len(kept))
+            for j, c in enumerate(kept):
+                cells[j::len(kept)] = c.tolist()
+            fh.write(row_fmt * (stop - start) % tuple(cells))
+
+
+def _part_bounds(nrows):
+    """Row bounds [0, ..., nrows] of the parts a table is written in.
+
+    One contiguous run of whole chunks per usable CPU, each of at least
+    PARALLEL_MIN_CHUNKS chunks.  A single part, the serial loop, when that
+    leaves fewer than two, or when this process cannot fork safely: no
+    os.fork, or other live Python threads.
+    """
+    import os
+
+    nchunks = -(-nrows // CHUNK_ROWS)
+    threading = sys.modules.get("threading")
+    if (nchunks < 2 * PARALLEL_MIN_CHUNKS or not hasattr(os, "fork")
+            or (threading is not None and threading.active_count() > 1)):
+        return [0, nrows]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    parts = min(cpus, nchunks // PARALLEL_MIN_CHUNKS)
+    return [min(i * nchunks // parts * CHUNK_ROWS, nrows) for i in range(parts + 1)]
+
+
+def _write_parts(fh, cols, fmts, bounds):
+    """Write rows bounds[0]:bounds[-1] as the parts between adjacent bounds.
+
+    One forked worker per part after the first formats its rows into its
+    own unlinked temporary file, reading the columns this process shares
+    with it copy-on-write, while this process formats the first part into
+    fh.  The workers are then reaped in order, and each file is appended
+    in blocks of _COPY_BLOCK characters.  Every worker is reaped on every
+    path; one that fails raises ChildProcessError (exit status 2).
+    """
+    import os
+    import signal
+    import tempfile
+
+    parts = list(zip(bounds[1:-1], bounds[2:]))
+    files, pids = [], []  # pids holds the workers not yet reaped, in row order
+    try:
+        for lo, hi in parts:
+            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            pid = os.fork()
+            if pid == 0:  # worker: never returns into the caller
+                code = 1
+                try:
+                    _write_rows(files[-1], cols, fmts, lo, hi)
+                    files[-1].flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        _write_rows(fh, cols, fmts, bounds[0], bounds[1])
+        for tmp, (lo, hi) in zip(files, parts):
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if code != 0:
+                raise ChildProcessError(
+                    f"csv writer worker for rows {lo}:{hi} failed with status {code}")
+            tmp.seek(0)
+            while block := tmp.read(_COPY_BLOCK):
+                fh.write(block)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for tmp in files:
+            tmp.close()
+
+
+def parse_grid(text: str) -> core.GridSpec:
     """Grid grammar start:stop:count[:log]."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
@@ -119,7 +207,7 @@ def parse_grid(text: str) -> verify.GridSpec:
         if parts[3] not in ("log", "uniform"):
             raise DomainError(f"bad grid spacing {parts[3]!r}")
         spacing = parts[3]
-    return verify.GridSpec(float(parts[0]), float(parts[1]), int(parts[2]), spacing)
+    return core.GridSpec(float(parts[0]), float(parts[1]), int(parts[2]), spacing)
 
 
 def parse_scalar_or_grid(text: str):
@@ -205,7 +293,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     name = args.field
     if name in ETA_FIELDS:
         grid = parse_grid(args.eta) if args.eta else cfg.grids.get(
-            "eta", verify.GridSpec(0.1, 50.0, 500, "log"))
+            "eta", core.GridSpec(0.1, 50.0, 500, "log"))
         etas = grid.points()
         if name == "f":
             vals = core.shape_density(etas, cfg.params, cfg.consts, cfg.accuracy)
@@ -226,7 +314,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         emit(table, cfg)
         return 0
 
-    xs = _axis_points(args.x, cfg, "x", verify.GridSpec(0.5, 5.0, 100))
+    xs = _axis_points(args.x, cfg, "x", core.GridSpec(0.5, 5.0, 100))
     ys = _axis_points(args.y, cfg, "y", 0.0)
     ts = _axis_points(args.t, cfg, "t", 1.0)
     # rows run t outer, then y, then x innermost
@@ -244,25 +332,25 @@ def _axis_points(flag_value, cfg, name, default):
         spec = cfg.grids[name]
     else:
         spec = default
-    if isinstance(spec, verify.GridSpec):
+    if isinstance(spec, core.GridSpec):
         return spec.points()
     return np.array([float(spec)])
 
 
 def _default_space_time(cfg):
-    sg = cfg.grids.get("s", verify.GridSpec(1.0, 5.0, 21))
-    tg = cfg.grids.get("t", verify.GridSpec(1.0, 2.0, 7))
+    sg = cfg.grids.get("s", core.GridSpec(1.0, 5.0, 21))
+    tg = cfg.grids.get("t", core.GridSpec(1.0, 2.0, 7))
     return sg, tg
 
 
-def _report_status(rep: verify.ResidualReport):
+def _report_status(rep):
     thr = THRESHOLDS.get(rep.equation_id)
     if thr is None:
         return "report", True
     return ("pass" if rep.max_rel <= thr else "fail"), rep.max_rel <= thr
 
 
-def _print_report(rep: verify.ResidualReport):
+def _print_report(rep):
     status, _ = _report_status(rep)
     thr = THRESHOLDS.get(rep.equation_id)
     thr_txt = f" threshold={thr:g}" if thr is not None else ""
@@ -277,6 +365,8 @@ def _print_report(rep: verify.ResidualReport):
 
 
 def _qpotential_table(cfg) -> CsvTable:
+    from . import verify
+
     etas = np.linspace(0.4, 3.0, 14)
     q9s, qds = np.full(len(etas), np.nan), np.full(len(etas), np.nan)
     for i, eta in enumerate(etas):
@@ -301,10 +391,12 @@ def _qpotential_table(cfg) -> CsvTable:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    from . import verify
+
     which = args.which
     reports = []
     tables = None
-    ode_grid = cfg.grids.get("eta", verify.GridSpec(0.1, 50.0, 2000, "log"))
+    ode_grid = cfg.grids.get("eta", core.GridSpec(0.1, 50.0, 2000, "log"))
     sg, tg = _default_space_time(cfg)
 
     if which in ("ode5", "all"):
@@ -348,6 +440,8 @@ def _stack_reports(reports) -> CsvTable:
 
 
 def cmd_zeros(cfg: RunConfig, args) -> int:
+    from . import analysis
+
     lo, hi = (float(v) for v in args.range.split(":"))
     roots = analysis.find_zeros((lo, hi), cfg.params, cfg.consts,
                                 max_roots=args.max_roots, acc=cfg.accuracy)
@@ -360,6 +454,8 @@ def cmd_zeros(cfg: RunConfig, args) -> int:
 
 
 def cmd_integrate(cfg: RunConfig, args) -> int:
+    from . import analysis
+
     limits = [float(v) for v in args.limits.split(",")]
     result = analysis.integrate_density(limits, cfg.params, cfg.consts,
                                         tol=cfg.tol, acc=cfg.accuracy)
@@ -375,6 +471,8 @@ def cmd_integrate(cfg: RunConfig, args) -> int:
 
 
 def cmd_figure(cfg: RunConfig, args) -> int:
+    from . import analysis
+
     fig = args.figure_id
     grid = cfg.grids.get("eta") if fig in ("fig1", "fig3") else cfg.grids.get("x")
     series = analysis.figure_series(fig, cfg.params, cfg.consts,

@@ -30,6 +30,7 @@ from .specfun import DEFAULT_ACCURACY, EvalAccuracy
 
 __all__ = [
     "LAB_FIELDS",
+    "GridSpec",
     "PhysicalParams",
     "SolutionConstants",
     "SimilarityPoint",
@@ -53,6 +54,31 @@ _SHAPE_AMPLITUDE = math.pi * math.pi / 64.0
 
 # lab-frame fields evaluated by lab_field
 LAB_FIELDS = ("rho", "u", "v", "S", "psi_re", "psi_im")
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """A one-dimensional evaluation grid."""
+
+    start: float
+    stop: float
+    count: int
+    spacing: str = "uniform"
+
+    def __post_init__(self):
+        if not self.start < self.stop:
+            raise DomainError("grid start must be below stop")
+        if self.count < 2:
+            raise DomainError("grid needs at least two points")
+        if self.spacing not in ("uniform", "log"):
+            raise DomainError("spacing must be 'uniform' or 'log'")
+        if self.spacing == "log" and not self.start > 0:
+            raise DomainError("log spacing needs start > 0")
+
+    def points(self) -> np.ndarray:
+        if self.spacing == "log":
+            return np.geomspace(self.start, self.stop, self.count)
+        return np.linspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)

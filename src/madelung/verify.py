@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     _SHAPE_AMPLITUDE,
     _SPLIT_SLOPE,
+    GridSpec,
     PhysicalParams,
     SolutionConstants,
     _k_const,
@@ -65,31 +66,6 @@ EQUATION_IDS = (
 # splitting s = x + y into the two lab coordinates; any split works since
 # the fields depend on x and y only through their sum
 _X_FRACTION = 0.375
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A one-dimensional evaluation grid."""
-
-    start: float
-    stop: float
-    count: int
-    spacing: str = "uniform"
-
-    def __post_init__(self):
-        if not self.start < self.stop:
-            raise DomainError("grid start must be below stop")
-        if self.count < 2:
-            raise DomainError("grid needs at least two points")
-        if self.spacing not in ("uniform", "log"):
-            raise DomainError("spacing must be 'uniform' or 'log'")
-        if self.spacing == "log" and not self.start > 0:
-            raise DomainError("log spacing needs start > 0")
-
-    def points(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)

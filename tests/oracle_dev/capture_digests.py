@@ -5,7 +5,10 @@ entry of TestGoldenDigests on this checkout and prints both lists in the
 test file's literal format, for manual transfer into the test file.
 Entries whose digests differ from the test file's are listed on stderr,
 old -> new, and the exit status is then 1; it is 0 when every digest
-matches, so one run shows that a change kept every output byte.
+matches, so one run shows that a change kept every output byte.  Every
+CLI entry also runs with the CSV writer held to one process (a large table
+is otherwise split over forked workers); an entry whose output then
+differs is listed too, and the exit status is 1.
 
     python tests/oracle_dev/capture_digests.py [--parent PATH]
 
@@ -40,11 +43,18 @@ from madelung import cli  # noqa: E402
 from test_specfun import TestGoldenDigests  # noqa: E402
 
 
-def run_cli(argv, path):
-    # (exit status, CSV text, stdout) of one CLI entry
+def run_cli(argv, path, serial=False):
+    # (exit status, CSV text, stdout) of one CLI entry; serial=True keeps the
+    # CSV writer in this process whatever the table's size
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv.split() + ["--output", path])
+    min_chunks = cli.PARALLEL_MIN_CHUNKS
+    try:
+        if serial:
+            cli.PARALLEL_MIN_CHUNKS = sys.maxsize
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv.split() + ["--output", path])
+    finally:
+        cli.PARALLEL_MIN_CHUNKS = min_chunks
     with open(path) as fh:
         return code, fh.read(), out.getvalue()
 
@@ -233,6 +243,9 @@ def main():
                                    ("stdout", old_out, out_sha)):
                 if old != new:
                     changed.append(f"{argv} {what}: {old} -> {new}")
+            s_code, s_csv, s_out = run_cli(argv, path, serial=True)
+            if (s_code, sha(s_csv), sha(s_out)) != (code, csv_sha, out_sha):
+                changed.append(f"{argv}: the serial writer gives other output")
             if argv in parent_cli:
                 p_code, p_csv, p_out = parent_cli[argv]
                 lines = ([f"exit {p_code} -> {code}"] if p_code != code else [])

@@ -452,6 +452,24 @@ class TestIntegrateDensity:
         predicted = math.pi * SQ2 * (2.0**2 + 1.0**2) / (16.0 * 0.5)
         assert abs(slope - predicted) / predicted < 1e-3
 
+    def test_gauss_rule_is_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert analysis._GAUSS_NODES.tobytes() == nodes.tobytes()
+        assert analysis._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_integrate_does_not_import_numpy_polynomial(self):
+        # leggauss would import numpy.polynomial (~4 ms, ~1.7 MB) in every
+        # integrate subprocess; a fresh interpreter shows the imports
+        code = ("import contextlib, io, sys\n"
+                "from madelung import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    status = cli.main(['integrate', '--limits', '10,100'])\n"
+                "print(status, 'numpy.polynomial' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(analysis.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["0", "False"]
+
 
 class TestFigureSeries:
     def test_fig1_columns_and_positivity(self, params, consts):

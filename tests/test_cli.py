@@ -1,5 +1,11 @@
+import contextlib
 import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -136,6 +142,203 @@ class TestCsvWriter:
             tracemalloc.stop()
         assert (tmp_path / "big.csv").stat().st_size > 7_000_000
         assert peak <= 4 * cli.CHUNK_ROWS * 2 * 64
+
+    # the parallel path: forked workers write all parts of a table but the first
+
+    @staticmethod
+    def force_parts(monkeypatch, cpus, min_chunks=1):
+        """Report `cpus` usable CPUs and a threshold of `min_chunks` chunks per
+        process; returns the list that counts the writer's forks."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(cli, "PARALLEL_MIN_CHUNKS", min_chunks)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def serial(monkeypatch, write):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "PARALLEL_MIN_CHUNKS", 10**9)
+            return write()
+
+    def boundary_columns(self, n, bounds):
+        # blank cells and near_pole flags on both sides of every part
+        # boundary, and a blank run that straddles each of them
+        header, cols = self.columns(n)
+        a, b, c, flag = cols
+        for edge in bounds[1:-1]:
+            for i in (edge - 2, edge - 1, edge, edge + 1):
+                b[i] = None
+                flag[i] = "near_pole"
+            c[edge - 5:edge + 5] = np.nan
+        return header, cols
+
+    @pytest.mark.parametrize("cpus,nrows", [
+        (3, 3 * cli.CHUNK_ROWS + 1000),  # a row count off the chunk grid
+        (3, 3 * cli.CHUNK_ROWS),
+        (4, 9 * cli.CHUNK_ROWS - 1),
+        (2, 2 * cli.CHUNK_ROWS + 1),
+    ])
+    def test_forked_parts_match_serial(self, monkeypatch, cpus, nrows):
+        forks = self.force_parts(monkeypatch, cpus)
+        bounds = cli._part_bounds(nrows)
+        nchunks = -(-nrows // cli.CHUNK_ROWS)
+        assert len(bounds) - 1 == min(cpus, nchunks)
+        assert all(b % cli.CHUNK_ROWS == 0 for b in bounds[:-1]) and bounds[-1] == nrows
+        header, cols = self.boundary_columns(nrows, bounds)
+        expected = self.serial(monkeypatch, CsvTable(header, cols).render)
+        assert expected == reference_csv(header, cols)
+        assert CsvTable(header, cols).render() == expected
+        assert len(forks) == len(bounds) - 2
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("min_chunks", [1, 3])
+    def test_threshold_in_chunks_per_process(self, monkeypatch, min_chunks):
+        forks = self.force_parts(monkeypatch, 2, min_chunks)
+        below = (2 * min_chunks - 1) * cli.CHUNK_ROWS  # one chunk short of two parts
+        assert cli._part_bounds(below) == [0, below]
+        for nrows in (below + 1, 2 * min_chunks * cli.CHUNK_ROWS):
+            assert cli._part_bounds(nrows) == [0, min_chunks * cli.CHUNK_ROWS, nrows]
+        for nrows in (below, below + 1):
+            header, cols = self.columns(nrows)
+            before = len(forks)
+            text = CsvTable(header, cols).render()
+            assert len(forks) - before == (nrows > below)
+            assert text == reference_csv(header, cols)
+        self.assert_no_children()
+
+    def test_one_cpu_or_live_thread_stays_serial(self, monkeypatch):
+        nrows = 4 * cli.CHUNK_ROWS
+        forks = self.force_parts(monkeypatch, 4)
+        assert len(cli._part_bounds(nrows)) == 5
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert cli._part_bounds(nrows) == [0, nrows]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert cli._part_bounds(nrows) == [0, nrows]
+            header, cols = self.columns(nrows)
+            CsvTable(header, cols).render()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    ETA_ARGV = ["eval", "--field", "f", "--eta", "0.1:50:20000:log"]
+
+    def test_stdout_target_carries_the_header_once(self, monkeypatch, tmp_path):
+        # a real buffered stdout: a worker that flushed its copy of the
+        # parent's buffer would repeat the header
+        def run(path):
+            with open(path, "w", encoding="utf-8") as fh, monkeypatch.context() as m:
+                m.setattr(sys, "stdout", fh)
+                code = main(self.ETA_ARGV)
+            return code, path.read_text(encoding="utf-8")
+
+        code, serial_text = self.serial(monkeypatch, lambda: run(tmp_path / "serial.csv"))
+        forks = self.force_parts(monkeypatch, 3)
+        assert run(tmp_path / "forked.csv") == (0, serial_text)
+        assert len(forks) == 2
+        assert serial_text.count("eta,f") == 1 and serial_text.startswith("eta,f\n")
+        self.assert_no_children()
+
+    def test_failing_worker_exit_2(self, capsys, monkeypatch, tmp_path):
+        forks = self.force_parts(monkeypatch, 3)
+        write_rows = cli._write_rows
+
+        def failing_in_workers(fh, cols, fmts, lo, hi):
+            if lo > 0:
+                raise OSError("disk full")
+            write_rows(fh, cols, fmts, lo, hi)
+
+        monkeypatch.setattr(cli, "_write_rows", failing_in_workers)
+        code, _, err = run_cli(capsys, self.ETA_ARGV + ["--output", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert err == ("error: csv writer worker for rows 4096:12288 failed "
+                       "with status 1\n")
+        assert len(forks) == 2
+        self.assert_no_children()
+
+    def test_killed_worker_exit_2(self, capsys, monkeypatch, tmp_path):
+        self.force_parts(monkeypatch, 2)
+        write_rows = cli._write_rows
+
+        def killed_in_workers(fh, cols, fmts, lo, hi):
+            if lo > 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_rows(fh, cols, fmts, lo, hi)
+
+        monkeypatch.setattr(cli, "_write_rows", killed_in_workers)
+        code, _, err = run_cli(capsys, self.ETA_ARGV + ["--output", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert err.startswith("error: csv writer worker for rows 8192:20000 failed")
+        assert err.endswith(f"with status {-signal.SIGKILL}\n")
+        self.assert_no_children()
+
+    def test_broken_pipe_as_in_serial(self, capsys, monkeypatch):
+        # the reader of stdout has gone away, as after `| head`
+        def run():
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            fh = os.fdopen(write_end, "w", encoding="utf-8")
+            try:
+                with monkeypatch.context() as m:
+                    m.setattr(sys, "stdout", fh)
+                    code = main(self.ETA_ARGV)
+            finally:
+                with contextlib.suppress(BrokenPipeError):
+                    fh.close()
+            return code, capsys.readouterr().err
+
+        serial = self.serial(monkeypatch, run)
+        assert serial == (2, "error: [Errno 32] Broken pipe\n")
+        forks = self.force_parts(monkeypatch, 3)
+        assert run() == serial
+        assert len(forks) == 2
+        self.assert_no_children()
+
+
+class TestLazyImports:
+    def test_eval_imports_neither_analysis_nor_verify(self):
+        # each costs ~12 ms to import without bytecode caches; only the
+        # subcommands that use them import them
+        code = ("import contextlib, io, sys\n"
+                "from madelung import cli\n"
+                "def loaded():\n"
+                "    return [m for m in ('madelung.analysis', 'madelung.verify')\n"
+                "            if m in sys.modules]\n"
+                "print(loaded())\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    cli.main(['eval', '--field', 'f', '--eta', '0.5:5:30'])\n"
+                "    cli.main(['eval', '--field', 'rho', '--x', '1:2:3'])\n"
+                "print(loaded())\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    cli.main(['verify', '--which', 'ode5'])\n"
+                "print(loaded())\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines() == ["[]", "[]", "['madelung.verify']"]
+
+    def test_grid_spec_is_one_class(self):
+        from madelung import analysis, verify
+
+        assert verify.GridSpec is core.GridSpec is analysis.GridSpec
+        assert isinstance(parse_grid("1:2:3"), verify.GridSpec)
 
 
 class TestGridGrammar:

@@ -570,7 +570,9 @@ class TestGoldenDigests:
     z = 20).  Q, fig3, verify and four library entries were captured once
     more when w' took the one DLMF 10.6.2 form of core's w bundle and verify
     took its lab velocity from core; capture_digests.py --parent measures
-    such moves against the parent checkout.  The digests hold for the
+    such moves against the parent checkout.  The two large eval tables
+    were captured before the CSV writer could split a table over forked
+    workers, and hold on either path.  The digests hold for the
     numpy build they were captured with (numpy 2.4.6, x86-64): the Bessel
     kernels call numpy's cos, sin and power, whose last bit may differ on
     other builds.
@@ -630,6 +632,14 @@ class TestGoldenDigests:
         ('verify --which all --c0 0.25', 3,
          "0950f884c18b5603d3e080ea8849ac1dfa62809987c16103fc1ecaa7f52414c3",
          "422d7b3f9ec4f1a14ad112649557aaf584792d6d190853390fb4b46f02badff7"),
+        # tables of at least 2 * cli.PARALLEL_MIN_CHUNKS chunks, which a host
+        # with several CPUs writes from several processes (Q has its text column)
+        ('eval --field Q --eta 0.01:40:100000:log', 0,
+         "e4b9bf344d5564038ab217cb133b4f06098c9382b53cd1ca65121769d407d9c2",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ('eval --field f --eta 0.001:60:200000:log', 0,
+         "7b32005c37ffbbca4bfea49f57b8a3b34ffc900823d3ee565d63c0b83a1d5232",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ]
 
     @pytest.mark.parametrize("argv,code,csv_sha,out_sha", CLI, ids=[c[0] for c in CLI])
