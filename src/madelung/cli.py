@@ -27,7 +27,6 @@ from .errors import (
     UnmatchedRoot,
     require_finite,
 )
-from .specfun import DEFAULT_ACCURACY, EvalAccuracy
 
 ETA_FIELDS = ("f", "g", "h", "Q")
 LAB_FIELDS = core.LAB_FIELDS
@@ -48,7 +47,6 @@ THRESHOLDS = {
 class RunConfig:
     params: core.PhysicalParams
     consts: core.SolutionConstants
-    accuracy: EvalAccuracy
     grids: dict = field(default_factory=dict)
     output_path: str | None = None
     tol: float = 1e-9
@@ -158,34 +156,45 @@ def _write_parts(fh, cols, fmts, bounds):
     with it copy-on-write, while this process formats the first part into
     fh.  The workers are then reaped in order, and each file is appended
     in blocks of _COPY_BLOCK characters.  Every worker is reaped on every
-    path; one that fails raises ChildProcessError (exit status 2).
+    path; one that fails raises ChildProcessError (exit status 2), which
+    carries the "TypeName: message" of the worker's exception, sent back
+    through a pipe.
     """
     import os
     import signal
     import tempfile
 
     parts = list(zip(bounds[1:-1], bounds[2:]))
-    files, pids = [], []  # pids holds the workers not yet reaped, in row order
+    files, pipes, pids = [], [], []  # pids holds the workers not yet reaped, in row order
     try:
         for lo, hi in parts:
             files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-            pid = os.fork()
-            if pid == 0:  # worker: never returns into the caller
-                code = 1
-                try:
-                    _write_rows(files[-1], cols, fmts, lo, hi)
-                    files[-1].flush()
-                    code = 0
-                finally:
-                    os._exit(code)
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:  # worker: never returns into the caller
+                    code = 1
+                    try:
+                        _write_rows(files[-1], cols, fmts, lo, hi)
+                        files[-1].flush()
+                        code = 0
+                    except Exception as exc:
+                        os.write(w, f"{type(exc).__name__}: {exc}".encode())
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(w)  # the worker holds the only write end
             pids.append(pid)
         _write_rows(fh, cols, fmts, bounds[0], bounds[1])
-        for tmp, (lo, hi) in zip(files, parts):
+        for tmp, pipe, (lo, hi) in zip(files, pipes, parts):
+            reason = pipe.read().decode(errors="replace")  # EOF comes when the worker ends
             code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             del pids[0]
             if code != 0:
+                why = f": {reason}" if code > 0 and reason else ""
                 raise ChildProcessError(
-                    f"csv writer worker for rows {lo}:{hi} failed with status {code}")
+                    f"csv writer worker for rows {lo}:{hi} failed with status {code}{why}")
             tmp.seek(0)
             while block := tmp.read(_COPY_BLOCK):
                 fh.write(block)
@@ -193,8 +202,8 @@ def _write_parts(fh, cols, fmts, bounds):
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for tmp in files:
-            tmp.close()
+        for f in files + pipes:
+            f.close()
 
 
 def parse_grid(text: str) -> core.GridSpec:
@@ -269,7 +278,6 @@ def build_config(args) -> RunConfig:
     return RunConfig(
         params=params,
         consts=consts,
-        accuracy=DEFAULT_ACCURACY,
         grids=grids,
         output_path=pick("output", args.output, str, None),
         tol=tol,
@@ -296,7 +304,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             "eta", core.GridSpec(0.1, 50.0, 500, "log"))
         etas = grid.points()
         if name == "f":
-            vals = core.shape_density(etas, cfg.params, cfg.consts, cfg.accuracy)
+            vals = core.shape_density(etas, cfg.params, cfg.consts)
             require_finite(name, vals, eta=etas)
             table = CsvTable(["eta", "f"], [etas, vals])
         elif name in ("g", "h"):
@@ -306,7 +314,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             table = CsvTable(["eta", name], [etas, vals])
         else:  # Q with sentinel flags near poles
             q, excluded = core.quantum_potential_eq9_masked(
-                etas, cfg.params, cfg.consts, acc=cfg.accuracy)
+                etas, cfg.params, cfg.consts)
             require_finite(name, np.where(excluded, 0.0, q), eta=etas)
             # q is NaN, so blank, at the flagged rows
             table = CsvTable(["eta", "Q", "flag"],
@@ -319,7 +327,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     ts = _axis_points(args.t, cfg, "t", 1.0)
     # rows run t outer, then y, then x innermost
     t, y, x = np.meshgrid(ts, ys, xs, indexing="ij")
-    vals = core.lab_field(name, x, y, t, cfg.params, cfg.consts, cfg.accuracy)
+    vals = core.lab_field(name, x, y, t, cfg.params, cfg.consts)
     require_finite(name, vals, x=x, y=y, t=t)
     emit(CsvTable(["x", "y", "t", name], [a.ravel() for a in (x, y, t, vals)]), cfg)
     return 0
@@ -371,10 +379,9 @@ def _qpotential_table(cfg) -> CsvTable:
     q9s, qds = np.full(len(etas), np.nan), np.full(len(etas), np.nan)
     for i, eta in enumerate(etas):
         try:
-            q9 = core.quantum_potential_eq9(float(eta), cfg.params, cfg.consts,
-                                            acc=cfg.accuracy)
+            q9 = core.quantum_potential_eq9(float(eta), cfg.params, cfg.consts)
             qd = verify.quantum_potential_direct(float(eta), cfg.params, cfg.consts,
-                                                 fd_step=cfg.fd_step, acc=cfg.accuracy)
+                                                 fd_step=cfg.fd_step)
         except (SingularityError, DomainError):
             continue
         q9s[i], qds[i] = q9, qd
@@ -400,15 +407,15 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     sg, tg = _default_space_time(cfg)
 
     if which in ("ode5", "all"):
-        reports.append(verify.residual_ode5(ode_grid, cfg.params, cfg.consts, cfg.accuracy))
+        reports.append(verify.residual_ode5(ode_grid, cfg.params, cfg.consts))
     if which in ("system4", "all"):
-        reports.append(verify.residual_ode_system4(ode_grid, cfg.params, cfg.consts, cfg.accuracy))
+        reports.append(verify.residual_ode_system4(ode_grid, cfg.params, cfg.consts))
     if which in ("pde", "all"):
         reports.extend(verify.residual_pde_lab(sg, tg, cfg.params, cfg.consts,
-                                               fd_step=cfg.fd_step, acc=cfg.accuracy))
+                                               fd_step=cfg.fd_step))
     if which in ("schrodinger", "all"):
         reports.append(verify.residual_schrodinger(sg, tg, cfg.params, cfg.consts,
-                                                   fd_step=cfg.fd_step, acc=cfg.accuracy))
+                                                   fd_step=cfg.fd_step))
     if which in ("phase", "all"):
         reports.append(verify.residual_phase_gradient(sg, tg, cfg.params, cfg.consts))
     if which == "qpotential":
@@ -444,8 +451,8 @@ def cmd_zeros(cfg: RunConfig, args) -> int:
 
     lo, hi = (float(v) for v in args.range.split(":"))
     roots = analysis.find_zeros((lo, hi), cfg.params, cfg.consts,
-                                max_roots=args.max_roots, acc=cfg.accuracy)
-    matched = analysis.match_poles(roots, cfg.params, cfg.consts, cfg.accuracy)
+                                max_roots=args.max_roots)
+    matched = analysis.match_poles(roots, cfg.params, cfg.consts)
     eta, pole, sep = zip(*matched.matched_poles)
     index = np.arange(1, len(eta) + 1, dtype=float)
     emit(CsvTable(["index", "eta_star", "q_pole_eta", "separation"],
@@ -458,7 +465,7 @@ def cmd_integrate(cfg: RunConfig, args) -> int:
 
     limits = [float(v) for v in args.limits.split(",")]
     result = analysis.integrate_density(limits, cfg.params, cfg.consts,
-                                        tol=cfg.tol, acc=cfg.accuracy)
+                                        tol=cfg.tol)
     emit(CsvTable(["H", "F", "err"], list(zip(*result.partial_integrals))), cfg)
     tm = result.tail_model
     print(f"tail fit (log):  F ~ a + b ln H with a={tm.log_offset:.9g} "
@@ -476,8 +483,7 @@ def cmd_figure(cfg: RunConfig, args) -> int:
     fig = args.figure_id
     grid = cfg.grids.get("eta") if fig in ("fig1", "fig3") else cfg.grids.get("x")
     series = analysis.figure_series(fig, cfg.params, cfg.consts,
-                                    grid=grid, time_grid=cfg.grids.get("t"),
-                                    acc=cfg.accuracy)
+                                    grid=grid, time_grid=cfg.grids.get("t"))
     emit(CsvTable(list(series.names), list(series.values.T)), cfg)
     return 0
 

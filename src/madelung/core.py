@@ -210,6 +210,13 @@ def _check_eta(eta) -> np.ndarray:
 _FOUR_BESSELS = (("J", 0.25, 0), ("Y", 0.25, 0), ("J", -0.75, 0), ("Y", -0.75, 0))
 
 
+def _four_bessel_terms(z, consts, acc):
+    # the literal closed form's numerator -c1 J_{1/4} + c2 Y_{1/4} and cross
+    # product J_{-3/4} Y_{1/4} - J_{1/4} Y_{-3/4}, from one _jy request
+    j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
+    return -consts.c1 * j + consts.c2 * y, jm * y - j * ym
+
+
 def _w_bundle(z, consts, acc, upto=0):
     """w = c2 Y_{1/4}(z) - c1 J_{1/4}(z) and its z-derivatives through `upto`.
 
@@ -274,10 +281,8 @@ def _shape_density_block(eta, params, consts, acc):
         # m beyond ~1e154: the denominator cannot be formed, so f is NaN
         # (the caller reports non-finite f), never an underflowed 0
         return np.full_like(z, np.nan)
-    j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
-    num = 2.0 * (-consts.c1 * j + consts.c2 * y) ** 2
-    cross = jm * y - j * ym
-    return num / (eta**3 * mm * mm * cross * cross)
+    num, cross = _four_bessel_terms(z, consts, acc)
+    return 2.0 * num**2 / (eta**3 * mm * mm * cross * cross)
 
 
 def _shape_density_arr(eta, params, consts, acc):
@@ -345,11 +350,16 @@ def shape_velocity_split(eta, consts: SolutionConstants):
     return g, g
 
 
+def _phase(s, t, params):
+    # S = (m/hbar) s^2/(4t) with s = x + y, on floats or arrays alike
+    return params.m * s * s / (4.0 * params.hbar * t)
+
+
 def _lab_block(x, y, t, names, params, consts, acc, shape):
     # the LAB_FIELDS in names on broadcast (x, y, t) arrays, sharing eta,
     # rho and S between them
     s = x + y
-    fields = {"S": params.m * s * s / (4.0 * params.hbar * t)}
+    fields = {"S": _phase(s, t, params)}
     if set(names) != {"S"}:
         if not np.all(s > 0.0):
             raise DomainError("x + y must be positive")
@@ -418,8 +428,7 @@ def velocity(p: LabPoint, params: PhysicalParams, consts: SolutionConstants):
 
 def phase(p: LabPoint, params: PhysicalParams) -> float:
     """Wave-function phase S = (m/hbar) (x+y)^2 / (4t)."""
-    s = p.x + p.y
-    return params.m * s * s / (4.0 * params.hbar * p.t)
+    return _phase(p.x + p.y, p.t, params)
 
 
 def wavefunction_canonical(p: LabPoint, params: PhysicalParams,
@@ -449,12 +458,9 @@ def _psi_eq8(x, y, t, params, consts, acc):
     # wavefunction_eq8 on broadcast (x, y, t) arrays with x + y > 0
     s = x + y
     z = _z_arg(s / np.sqrt(t), params)
-    j, yv, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
-    cross = jm * yv - j * ym
-    num = math.sqrt(2.0) * t**0.25 * (-consts.c1 * j + consts.c2 * yv)
-    modulus = num / (s**1.5 * _mass_scale(params) * cross)
-    ph = params.m * s * s / (4.0 * params.hbar * t)
-    return modulus * np.exp(1j * ph)
+    num, cross = _four_bessel_terms(z, consts, acc)
+    modulus = math.sqrt(2.0) * t**0.25 * num / (s**1.5 * _mass_scale(params) * cross)
+    return modulus * np.exp(1j * _phase(s, t, params))
 
 
 def _newton_distance(eta, z, w, w1):

@@ -66,6 +66,10 @@ EQUATION_IDS = (
 # splitting s = x + y into the two lab coordinates; any split works since
 # the fields depend on x and y only through their sum
 _X_FRACTION = 0.375
+# ode_system4 excludes points within this eta-distance of a density zero, and
+# the lab residuals within this fraction of the local half-oscillation width
+_ODE_EXCLUSION = 1e-6
+_LAB_EXCLUSION = 1e-2
 
 
 @dataclass(frozen=True)
@@ -160,13 +164,12 @@ def residual_ode5(grid: GridSpec, params: PhysicalParams, consts: SolutionConsta
 
 def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
                          consts: SolutionConstants,
-                         acc: EvalAccuracy = DEFAULT_ACCURACY,
-                         exclusion_radius: float = 1e-6) -> ResidualReport:
+                         acc: EvalAccuracy = DEFAULT_ACCURACY) -> ResidualReport:
     """Residuals of the coupled shape-function system under the symmetric split.
 
     With g = h = (eta - c0)/4 the continuity equation cancels identically
     for c0 = 0; the two momentum equations share one right-hand side that
-    divides by f and f^3, so points within `exclusion_radius` of a density
+    divides by f and f^3, so points within _ODE_EXCLUSION of a density
     zero are excluded and counted.
     """
     etas = grid.points()
@@ -196,7 +199,7 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
     mom_rel = np.abs(mom_g) / np.maximum(mom_scale, 1e-300)
 
     dist, _ = _zero_distance(etas, params, consts, acc)
-    excluded = dist < exclusion_radius
+    excluded = dist < _ODE_EXCLUSION
     mom_rel_m = np.where(excluded, np.nan, mom_rel)
     mom_g = np.where(excluded, np.nan, mom_g)
     mom_h = np.where(excluded, np.nan, mom_h)
@@ -208,13 +211,14 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
         ("momentum_h", mom_h), ("momentum_h_rel", mom_rel_m),
     ])
     good = ~excluded
-    max_abs = float(max(np.max(np.abs(cont)), np.nanmax(np.abs(mom_g[good])) if good.any() else 0.0))
-    max_rel = float(max(np.max(cont_rel), np.nanmax(mom_rel_m[good]) if good.any() else 0.0))
     extras = {
         "continuity_max_abs": float(np.max(np.abs(cont))),
         "continuity_max_rel": float(np.max(cont_rel)),
         "momentum_max_rel": float(np.nanmax(mom_rel_m[good])) if good.any() else 0.0,
     }
+    mom_max_abs = float(np.nanmax(np.abs(mom_g[good]))) if good.any() else 0.0
+    max_abs = max(extras["continuity_max_abs"], mom_max_abs)
+    max_rel = max(extras["continuity_max_rel"], extras["momentum_max_rel"])
     return ResidualReport("ode_system4", pts, max_abs, max_rel,
                           int(np.count_nonzero(excluded)), extras)
 
@@ -237,17 +241,22 @@ def _mesh(space_grid, time_grid):
     return ss * _X_FRACTION, ss * (1.0 - _X_FRACTION), tt
 
 
-def _lab_exclusion(x, y, t, params, consts, acc, factor=1e-2):
+def _stencil_mesh(space_grid, time_grid, ds, dt):
+    # the mesh, refused where a stencil reaching ds along each of x and y,
+    # or dt back in t, would leave the domain
+    x, y, t = _mesh(space_grid, time_grid)
+    if np.any(x + y - 2 * ds <= 0) or np.any(t - dt <= 0):
+        raise DomainError("finite-difference stencil leaves the domain")
+    return x, y, t
+
+
+def _lab_exclusion(x, y, t, params, consts, acc):
     eta = (x + y) / np.sqrt(t)
     dist, arch = _zero_distance(eta, params, consts, acc)
-    return dist < factor * arch
+    return dist < _LAB_EXCLUSION * arch
 
 
-def _continuity_euler_max(space_grid, time_grid, params, consts, acc, h, hq):
-    x, y, t = _mesh(space_grid, time_grid)
-    if np.any(x + y - 2 * (h + hq) <= 0) or np.any(t - h <= 0):
-        raise DomainError("finite-difference stencil leaves the domain")
-
+def _continuity_euler(x, y, t, params, consts, acc, h, hq):
     def diffs(dx, dy, dt):
         # central differences of rho, rho u and u along (dx, dy, dt)
         (rp, up), (rm, um) = (
@@ -281,9 +290,7 @@ def _continuity_euler_max(space_grid, time_grid, params, consts, acc, h, hq):
     euler = u_t + adv_x + adv_y - q_x
     euler_scale = np.maximum.reduce(
         [np.abs(u_t), np.abs(adv_x), np.abs(adv_y), np.abs(q_x)])
-
-    excluded = _lab_exclusion(x, y, t, params, consts, acc)
-    return (x, y, t, cont, cont_scale, euler, euler_scale, excluded)
+    return cont, cont_scale, euler, euler_scale
 
 
 def _masked_report(equation_id, coords, res, scale, excluded, extras=None,
@@ -301,18 +308,17 @@ def _masked_report(equation_id, coords, res, scale, excluded, extras=None,
                           int(np.count_nonzero(excluded)), extras or {})
 
 
-def _richardson_ratio(a, b, both):
-    # max |a| over max |b| on the points kept at both steps; 1 if b vanishes
-    ma = float(np.max(np.abs(a[both]))) if both.any() else 0.0
-    mb = float(np.max(np.abs(b[both]))) if both.any() else 0.0
+def _richardson_ratio(a, b, kept):
+    # max |a| over max |b| on the kept points; 1 if b vanishes
+    ma = float(np.max(np.abs(a[kept]))) if kept.any() else 0.0
+    mb = float(np.max(np.abs(b[kept]))) if kept.any() else 0.0
     return ma / mb if mb > 0 else 1.0
 
 
 def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
                      params: PhysicalParams, consts: SolutionConstants,
                      fd_step: float = 1e-4,
-                     acc: EvalAccuracy = DEFAULT_ACCURACY,
-                     richardson: bool = True):
+                     acc: EvalAccuracy = DEFAULT_ACCURACY):
     """Finite-difference residuals of the lab-frame fluid equations.
 
     Returns (continuity, euler_x, euler_y) reports over the space grid in
@@ -324,20 +330,18 @@ def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
     by more than a factor of 10 (truncation-dominated step).
     """
     hq = max(fd_step, 1e-3)
-    x, y, t, cont, cs, euler, es, excl = _continuity_euler_max(
-        space_grid, time_grid, params, consts, acc, fd_step, hq)
+    x, y, t = _stencil_mesh(space_grid, time_grid, fd_step + hq, fd_step)
+    cont, cs, euler, es = _continuity_euler(x, y, t, params, consts, acc, fd_step, hq)
+    excl = _lab_exclusion(x, y, t, params, consts, acc)
+    cont2, _, euler2, _ = _continuity_euler(x, y, t, params, consts, acc, fd_step / 2.0, hq)
     extras = {}
-    if richardson:
-        _, _, _, cont2, _, euler2, _, excl2 = _continuity_euler_max(
-            space_grid, time_grid, params, consts, acc, fd_step / 2.0, hq)
-        both = ~(excl | excl2)
-        for name, a, b in (("continuity", cont, cont2), ("euler", euler, euler2)):
-            ratio = _richardson_ratio(a, b, both)
-            extras[f"richardson_ratio_{name}"] = ratio
-            if ratio > 10.0:
-                raise StepTooLarge(
-                    f"{name} residual drops {ratio:.1f}x on halving fd_step; "
-                    "step too large for the local solution scale")
+    for name, a, b in (("continuity", cont, cont2), ("euler", euler, euler2)):
+        ratio = _richardson_ratio(a, b, ~excl)
+        extras[f"richardson_ratio_{name}"] = ratio
+        if ratio > 10.0:
+            raise StepTooLarge(
+                f"{name} residual drops {ratio:.1f}x on halving fd_step; "
+                "step too large for the local solution scale")
     cont_rep = _masked_report("continuity", (x, y, t), cont, cs, excl, dict(extras))
     ex_rep = _masked_report("euler_x", (x, y, t), euler, es, excl, dict(extras))
     ey_rep = _masked_report("euler_y", (x, y, t), euler.copy(), es, excl, dict(extras))
@@ -349,11 +353,7 @@ def _psi_canonical(x, y, t, params, consts, acc):
     return re + 1j * im
 
 
-def _schrodinger_residual_arrays(space_grid, time_grid, params, consts, acc,
-                                 h, psi):
-    x, y, t = _mesh(space_grid, time_grid)
-    if np.any(x + y - 2 * h <= 0) or np.any(t - h <= 0):
-        raise DomainError("finite-difference stencil leaves the domain")
+def _schrodinger_residual(x, y, t, params, h, psi):
     ctr = psi(x, y, t)
     lap = ((psi(x + h, y, t) - 2 * ctr + psi(x - h, y, t))
            + (psi(x, y + h, t) - 2 * ctr + psi(x, y - h, t))) / (h * h)
@@ -361,8 +361,7 @@ def _schrodinger_residual_arrays(space_grid, time_grid, params, consts, acc,
     coeff = 2.0 * params.m / params.hbar
     res = lap - 1j * coeff * psi_t
     scale = np.abs(lap) + coeff * np.abs(psi_t)
-    excluded = _lab_exclusion(x, y, t, params, consts, acc)
-    return x, y, t, res, scale, excluded
+    return res, scale
 
 
 def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
@@ -370,7 +369,6 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
                          fd_step: float = 1e-4,
                          acc: EvalAccuracy = DEFAULT_ACCURACY,
                          use_eq8: bool = False,
-                         richardson: bool = True,
                          *, psi=None) -> ResidualReport:
     """Finite-difference residual of the free Schrodinger equation.
 
@@ -403,17 +401,15 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
         raise DomainError("psi and use_eq8 are mutually exclusive")
     else:
         wavefunction = "custom"
-    x, y, t, res, scale, excl = _schrodinger_residual_arrays(
-        space_grid, time_grid, params, consts, acc, fd_step, psi)
-    extras = {"wavefunction": wavefunction}
-    if richardson:
-        _, _, _, res2, _, excl2 = _schrodinger_residual_arrays(
-            space_grid, time_grid, params, consts, acc, fd_step / 2.0, psi)
-        ratio = _richardson_ratio(res, res2, ~(excl | excl2))
-        extras["richardson_ratio"] = ratio
-        if ratio > 10.0:
-            raise StepTooLarge("schrodinger residual changes more than 10x on halving")
-    return _masked_report("schrodinger", (x, y, t), np.abs(res), scale, excl, extras,
+    x, y, t = _stencil_mesh(space_grid, time_grid, fd_step, fd_step)
+    res, scale = _schrodinger_residual(x, y, t, params, fd_step, psi)
+    excl = _lab_exclusion(x, y, t, params, consts, acc)
+    res2, _ = _schrodinger_residual(x, y, t, params, fd_step / 2.0, psi)
+    ratio = _richardson_ratio(res, res2, ~excl)
+    if ratio > 10.0:
+        raise StepTooLarge("schrodinger residual changes more than 10x on halving")
+    return _masked_report("schrodinger", (x, y, t), np.abs(res), scale, excl,
+                          {"wavefunction": wavefunction, "richardson_ratio": ratio},
                           "residual_abs")
 
 
@@ -492,6 +488,10 @@ def ode5_oracle_march(eta0: float, eta1: float, params: PhysicalParams,
         f, fp = state
         return np.array([fp, (fp * fp - msq * eta * eta * f * f) / (2.0 * f)])
 
+    def samples():
+        return SampleSeries.from_columns(
+            [(name, [r[i] for r in rows]) for i, name in enumerate(("eta", "f", "f_prime"))])
+
     eta = eta0
     y = np.array([state0.f, state0.f_prime])
     rows = [(eta, y[0], y[1])]
@@ -526,20 +526,13 @@ def ode5_oracle_march(eta0: float, eta1: float, params: PhysicalParams,
             k1 = ks[6]  # FSAL
             rows.append((eta, y[0], y[1]))
             if y[0] < _ZERO_FLOOR:
-                series = SampleSeries.from_columns(
-                    [("eta", [r[0] for r in rows]),
-                     ("f", [r[1] for r in rows]),
-                     ("f_prime", [r[2] for r in rows])])
-                raise ZeroCrossing(f"f crossed zero near eta = {eta!r}", series)
+                raise ZeroCrossing(f"f crossed zero near eta = {eta!r}", samples())
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
             err_prev = max(err, 1e-10)
             h *= min(5.0, max(0.2, fac))
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
-    return SampleSeries.from_columns(
-        [("eta", [r[0] for r in rows]),
-         ("f", [r[1] for r in rows]),
-         ("f_prime", [r[2] for r in rows])])
+    return samples()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 from madelung import cli, core
 from madelung.cli import CsvTable, RunConfig, emit, main, parse_grid
 from madelung.errors import DomainError
-from madelung.specfun import DEFAULT_ACCURACY
 
 import reference_values as ref
 
@@ -66,7 +65,7 @@ class TestCsvWriter:
     @staticmethod
     def file_config(path):
         return RunConfig(core.PhysicalParams(m=1.0), core.SolutionConstants(c1=1.0, c2=1.0),
-                         DEFAULT_ACCURACY, output_path=str(path))
+                         output_path=str(path))
 
     def columns(self, n):
         chunk = cli.CHUNK_ROWS
@@ -269,7 +268,7 @@ class TestCsvWriter:
         code, _, err = run_cli(capsys, self.ETA_ARGV + ["--output", str(tmp_path / "t.csv")])
         assert code == 2
         assert err == ("error: csv writer worker for rows 4096:12288 failed "
-                       "with status 1\n")
+                       "with status 1: OSError: disk full\n")
         assert len(forks) == 2
         self.assert_no_children()
 

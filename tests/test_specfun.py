@@ -470,7 +470,7 @@ class TestSharedEvaluator:
         monkeypatch.setattr(specfun, "_abs_max", spy)
         got = specfun._jy(z, [("J", 0.25, 0), ("Y", -0.75, 0), ("J", 0.25, 3)], acc)
         assert any(v > 1e250 for v in seen)
-        # the running bound spares the exact maximum on most steps
+        # the check runs every 8th step
         nstart = int(200.0 + 10.0 * math.sqrt(200.0) + 24.0)
         assert len(seen) < nstart
         for val, (kind, nu, k) in zip(got, [("J", 0.25, 0), ("Y", -0.75, 0), ("J", 0.25, 3)]):
@@ -639,6 +639,17 @@ class TestGoldenDigests:
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('eval --field f --eta 0.001:60:200000:log', 0,
          "7b32005c37ffbbca4bfea49f57b8a3b34ffc900823d3ee565d63c0b83a1d5232",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # d = 1 and d = 3: the Bessel argument and ode5 follow d, while the
+        # velocity split and the lab frame are those of d = 2
+        ('verify --which all --dim 1', 3,
+         "1c971a739213f1a112cda5e457e0cc2438a6fbec49d3dff7501ac02d2de740bc",
+         "d91f13bd328444117b59f50a6b9a0ccbc2de78fba14960a432169aa6dec2ebaa"),
+        ('verify --which all --dim 3', 3,
+         "6a5ea9446404016ff4ab89f5225cd0ba88ec76dccf4709dcaf4688995e0cd978",
+         "d4fdcd92bc033a192f17f63c51055286ba8a27ddf795d20ee9011bb5e5cef334"),
+        ('eval --field u --x 0.5:5:40 --y 0.2 --t 1:2:3 --dim 3', 0,
+         "62640afae4ee592115a1f3805164f07b0ae9d1a87b060b19efd9224526342e90",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from madelung import verify
 from madelung.core import PhysicalParams, SolutionConstants, lab_field, simplified_shape_density
 from madelung.errors import DomainError, SingularityError, ZeroCrossing
 from madelung.verify import (
@@ -224,6 +225,25 @@ class TestResidualSchrodinger:
         with pytest.raises(DomainError):
             residual_schrodinger(SPACE, TIME, params, consts, use_eq8=True,
                                  psi=self._propagator(params, -1))
+
+
+class TestLabExclusionOnce:
+    """Both fd_step passes of a lab report share one mesh, so one mask."""
+
+    @pytest.mark.parametrize("residual", [residual_pde_lab, residual_schrodinger])
+    def test_zero_distance_called_once(self, monkeypatch, params, consts, residual):
+        calls = []
+        real = verify._zero_distance
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_zero_distance", spy)
+        reports = residual(SPACE, TIME, params, consts)
+        assert len(calls) == 1
+        excluded = reports[0] if isinstance(reports, tuple) else reports
+        assert excluded.excluded_points > 0
 
 
 class TestResidualPhaseGradient:
