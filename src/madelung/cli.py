@@ -55,8 +55,11 @@ class RunConfig:
 
 # rows formatted per write; bounds the writer's memory independently of the table
 CHUNK_ROWS = 4096
+# cells formatted per write: a table of more than two columns writes fewer rows
+CHUNK_CELLS = 2 * CHUNK_ROWS
 # a table is written by several processes only when each gets at least this
-# many chunks; below that, forking costs more than it saves
+# many chunks; below that, forking costs more than it saves or wins too
+# little to show (tests/oracle_dev/csv_writer_timing.py measures both)
 PARALLEL_MIN_CHUNKS = 8
 # characters per copy of a worker's text into the output
 _COPY_BLOCK = 65536
@@ -66,16 +69,17 @@ _COPY_BLOCK = 65536
 class CsvTable:
     """A header plus one 1-D column per name.
 
-    A column is a sequence of str (a text column such as ``flag``) or
-    anything numpy reads as floats; a NaN or None cell renders as an
-    empty field.
+    A column is a sequence of str (a text column such as ``flag``, with
+    no NUL in its cells) or anything numpy reads as floats; a NaN or None
+    cell renders as an empty field.
     """
 
     header: list
     columns: list
 
     def write(self, fh):
-        """Write the table to a text stream, CHUNK_ROWS rows per write.
+        """Write the table to a text stream, at most CHUNK_ROWS rows and
+        CHUNK_CELLS cells per write, in the '%.17g' text of csvtext.
 
         A large table is written by one process per usable CPU: see
         _part_bounds and _write_parts.  The bytes are those of one process.
@@ -104,25 +108,14 @@ class CsvTable:
 
 
 def _write_rows(fh, cols, fmts, lo, hi):
-    """Format rows lo:hi of the columns into fh, CHUNK_ROWS rows per write."""
-    for first in range(lo, hi, CHUNK_ROWS):
-        chunk = [c[first:min(first + CHUNK_ROWS, hi)] for c in cols]
-        n = len(chunk[0])
-        blank = np.zeros((n, len(cols)), dtype=bool)
-        for j, c in enumerate(chunk):
-            if c.dtype.kind != "U":
-                blank[:, j] = np.isnan(c)
-        # each run of rows with the same blank cells takes one % on a
-        # row format that has empty fields in the blank positions
-        cuts = (np.flatnonzero(np.any(blank[1:] != blank[:-1], axis=1)) + 1).tolist()
-        for start, stop in zip([0] + cuts, cuts + [n]):
-            mask = blank[start].tolist()
-            row_fmt = ",".join("" if b else f for f, b in zip(fmts, mask)) + "\n"
-            kept = [c[start:stop] for c, b in zip(chunk, mask) if not b]
-            cells = [None] * ((stop - start) * len(kept))
-            for j, c in enumerate(kept):
-                cells[j::len(kept)] = c.tolist()
-            fh.write(row_fmt * (stop - start) % tuple(cells))
+    """Format rows lo:hi of the columns into fh, at most CHUNK_ROWS rows and
+    CHUNK_CELLS cells per write."""
+    from . import csvtext
+
+    step = max(1, min(CHUNK_ROWS, CHUNK_CELLS // max(1, len(cols))))
+    for first in range(lo, hi, step):
+        last = min(first + step, hi)
+        fh.write(csvtext.rows([c[first:last] for c in cols], fmts))
 
 
 def _part_bounds(nrows):
@@ -163,6 +156,10 @@ def _write_parts(fh, cols, fmts, bounds):
     import os
     import signal
     import tempfile
+
+    # imported before the forks, so that every worker inherits the module
+    # and its tables
+    from . import csvtext  # noqa: F401
 
     parts = list(zip(bounds[1:-1], bounds[2:]))
     files, pipes, pids = [], [], []  # pids holds the workers not yet reaped, in row order

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from madelung import cli, core
 from madelung.cli import CsvTable, RunConfig, emit, main, parse_grid
@@ -140,6 +142,31 @@ class TestCsvWriter:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "big.csv").stat().st_size > 7_000_000
+        assert peak <= 4 * cli.CHUNK_ROWS * 2 * 64
+
+    def test_wide_mostly_blank_table_memory_bounded_by_cells(self, tmp_path):
+        # the shape of the stacked `verify --which all` table: 4735 rows of a
+        # text column and 16 float columns, each report filling a few; a
+        # write formats at most CHUNK_CELLS cells, so the two-column bound
+        # holds (CHUNK_ROWS rows of all 17 columns at a time peak at ~5 MB)
+        rng = np.random.default_rng(4735)
+        edges = [0, 2000, 4000, 4147, 4294, 4441, 4588, 4735]
+        equation = np.repeat(["ode5", "ode_system4", "continuity", "euler_x", "euler_y",
+                              "schrodinger", "phase_gradient"], np.diff(edges))
+        nums = [np.full(edges[-1], np.nan) for _ in range(16)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for j in rng.choice(16, 5, replace=False):
+                nums[j][lo:hi] = rng.standard_normal(hi - lo) * 10.0 ** rng.integers(-20, 20)
+        header = ["equation"] + [f"c{j}" for j in range(16)]
+        table = CsvTable(header, [equation] + nums)
+        cfg = self.file_config(tmp_path / "wide.csv")
+        tracemalloc.start()
+        try:
+            emit(table, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "wide.csv").read_text() == reference_csv(header, [equation] + nums)
         assert peak <= 4 * cli.CHUNK_ROWS * 2 * 64
 
     # the parallel path: forked workers write all parts of a table but the first
@@ -311,6 +338,123 @@ class TestCsvWriter:
         self.assert_no_children()
 
 
+SPECIAL_BITS = [0, 1 << 63, 1, 0x000F_FFFF_FFFF_FFFF, 0x0010_0000_0000_0000,
+                0x7FEF_FFFF_FFFF_FFFF, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
+                0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000, 0x7FF0_0000_0000_0001]
+
+
+def signed(value_strategy):
+    return st.tuples(value_strategy, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+def bits_to_floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# any 64-bit pattern, with extra weight on the special values and subnormals
+BITS = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS),
+                 st.tuples(st.integers(1, 2 ** 52 - 1), st.booleans()).map(
+                     lambda t: t[0] | (t[1] << 63)))
+
+
+@st.composite
+def eighteen_digit_ties(draw):
+    # m 2**-k with m odd is exactly m 5**k 10**-k, a tie of the 17-digit
+    # rounding when m 5**k has 18 digits; m < 2**53 keeps it a double
+    k = draw(st.integers(2, 25))
+    lo, hi = -(-10 ** 17 // 5 ** k), min((10 ** 18 - 1) // 5 ** k, 2 ** 53 - 1)
+    m = 2 * draw(st.integers(lo // 2, (hi - 1) // 2)) + 1
+    assert len(str(m * 5 ** k)) == 18
+    return m / 2 ** k
+
+
+# where %g switches between the fixed and the exponent form, and a value
+# that rounds up to the next power of ten
+FORM_EDGES = [1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0]
+
+
+@st.composite
+def near_form_edges(draw):
+    edge = np.float64(draw(st.sampled_from(FORM_EDGES))).view(np.int64)
+    return float((edge + draw(st.integers(-3000, 3000))).view(np.float64))
+
+
+class TestFloatText:
+    """The vectorized %.17g text, byte for byte against reference_csv."""
+
+    @staticmethod
+    def assert_renders(values, text=None):
+        header, cols = ["v"], [np.asarray(values, dtype=float)]
+        if text is not None:
+            header, cols = ["v", "s"], cols + [np.asarray(text, dtype=str)]
+        assert CsvTable(header, cols).render() == reference_csv(header, cols)
+
+    @given(st.lists(BITS, min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_bit_patterns(self, bits):
+        # subnormals, +-0 and +-inf print as %.17g does; NaN is blank
+        self.assert_renders(bits_to_floats(bits))
+
+    @staticmethod
+    def powers_of_ten_and_neighbours():
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        return np.concatenate([values, -values])
+
+    def test_every_power_of_ten_and_its_neighbours(self):
+        self.assert_renders(self.powers_of_ten_and_neighbours())
+
+    @pytest.mark.parametrize("error", [-1e-9, 1e-9])
+    def test_misestimated_exponents_take_the_fallback(self, monkeypatch, error):
+        # a log10 a few ulps off puts e one off next to a power of ten; such
+        # a cell must take the slow path, not print its digits a place off
+        from madelung import csvtext
+
+        class SkewedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def log10(x):
+                return np.log10(x) + error
+
+        monkeypatch.setattr(csvtext, "np", SkewedNumpy())
+        self.assert_renders(self.powers_of_ten_and_neighbours())
+
+    @given(st.lists(signed(eighteen_digit_ties()), min_size=1, max_size=32))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_ties_at_the_18th_digit(self, values):
+        self.assert_renders(values)
+
+    @given(st.lists(signed(near_form_edges()), min_size=1, max_size=32))
+    @settings(max_examples=200, deadline=None)
+    def test_fixed_and_exponent_form_edges(self, values):
+        self.assert_renders(values)
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True),
+                              st.text(st.characters(blacklist_categories=("Cs",),
+                                                    blacklist_characters="\0"),
+                                      max_size=12)),
+                    min_size=1, max_size=32))
+    @settings(max_examples=200, deadline=None)
+    def test_text_column_of_any_characters(self, rows):
+        values, text = zip(*rows)
+        self.assert_renders(values, text)
+
+    def test_few_cells_of_a_tabulate_grid_take_the_fallback(self):
+        # an `eval --field f` table of the benchmark's kind: a log eta grid
+        # from z = 1e-3 to z = 66 and its f
+        from madelung import csvtext
+
+        params = core.PhysicalParams(m=1.3, dimension=2)
+        consts = core.SolutionConstants(c1=0.7, c2=-1.2)
+        k = params.m / (4.0 * math.sqrt(2.0))
+        eta = np.geomspace(math.sqrt(1e-3 / k), math.sqrt(66.0 / k), 100_000)
+        cells = np.concatenate([eta, core.shape_density(eta, params, consts)])
+        slow = np.count_nonzero(~csvtext._digits(cells)[2])
+        assert slow < 0.01 * len(cells)
+
+
 class TestLazyImports:
     def test_eval_imports_neither_analysis_nor_verify(self):
         # each costs ~12 ms to import without bytecode caches; only the
@@ -332,6 +476,21 @@ class TestLazyImports:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.splitlines() == ["[]", "[]", "['madelung.verify']"]
+
+    def test_cli_import_loads_no_csv_kernel(self):
+        # the CSV kernel's module, which builds its tables on import, loads
+        # with the first table written, so start-up pays for neither; and
+        # nothing loads fractions or decimal
+        code = ("import sys\n"
+                "from madelung import cli\n"
+                "mods = ('madelung.csvtext', 'fractions', 'decimal')\n"
+                "print([m for m in mods if m in sys.modules])\n"
+                "cli.CsvTable(['v'], [[0.5]]).render()\n"
+                "print([m for m in mods if m in sys.modules])\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines() == ["[]", "['madelung.csvtext']"]
 
     def test_grid_spec_is_one_class(self):
         from madelung import analysis, verify
