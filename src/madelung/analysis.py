@@ -39,7 +39,6 @@ from .core import (
 )
 from .errors import DomainError, RangeTooNarrow, ToleranceNotMet, UnmatchedRoot
 from .series import SampleSeries
-from .specfun import DEFAULT_ACCURACY, EvalAccuracy
 
 __all__ = [
     "RootSet",
@@ -111,16 +110,16 @@ class QuadratureResult:
             raise DomainError("est_error must be nonnegative")
 
 
-def _c_fn(consts, acc):
+def _c_fn(consts):
     # w(z) for the zero scans, the pole checks and the quadrature
     def fn(z):
-        return _w_bundle(np.asarray(z, dtype=float), consts, acc)[0]
+        return _w_bundle(np.asarray(z, dtype=float), consts)[0]
     return fn
 
 
-def _newton_fn(consts, acc):
+def _newton_fn(consts):
     # (w, w') for the Newton refinement of zeros and poles
-    return lambda z: _w_bundle(z, consts, acc, upto=1)
+    return lambda z: _w_bundle(z, consts, upto=1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +213,7 @@ def _bracket_zeros(fn, z_lo, z_hi, max_brackets=None):
 
 
 def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
-               max_roots: int = 10,
-               acc: EvalAccuracy = DEFAULT_ACCURACY) -> RootSet:
+               max_roots: int = 10) -> RootSet:
     """Locate zeros of the density shape function on an eta range.
 
     Scans sign changes of w = c2 Y_{1/4}(z) - c1 J_{1/4}(z) on a z mesh,
@@ -233,14 +231,14 @@ def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
         raise DomainError("max_roots must be nonnegative")
     k = _k_const(params)
     b_lo, b_hi, sign_lo, start = _bracket_zeros(
-        _c_fn(consts, acc), k * lo * lo, k * hi * hi, max_roots or None)
+        _c_fn(consts), k * lo * lo, k * hi * hi, max_roots or None)
     if len(b_lo) == 0:
         if max_roots > 0:
             raise RangeTooNarrow(f"no density zero inside eta range ({lo}, {hi})")
         return RootSet(())
     # keep the eta-width at or below 1e-10 even for small k
     wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(b_lo[0])))
-    z_a, z_b = _refine_brackets(_newton_fn(consts, acc), b_lo, b_hi, sign_lo,
+    z_a, z_b = _refine_brackets(_newton_fn(consts), b_lo, b_hi, sign_lo,
                                 start, wtol)
     z_star = 0.5 * (z_a + z_b)
     eta_star = np.sqrt(z_star / k)
@@ -249,8 +247,7 @@ def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
 
 
 def match_poles(roots: RootSet, params: PhysicalParams,
-                consts: SolutionConstants,
-                acc: EvalAccuracy = DEFAULT_ACCURACY) -> RootSet:
+                consts: SolutionConstants) -> RootSet:
     """Pair each density zero with the nearest quantum-potential pole.
 
     The printed bracket denominator D = c1 J_{1/4} - c2 Y_{1/4} of the
@@ -270,13 +267,13 @@ def match_poles(roots: RootSet, params: PhysicalParams,
     # its bracket's lower end at z_star / 2
     lo = np.maximum(z_star - delta, 0.5 * z_star)
     hi = z_star + delta
-    w_lo, w_hi = np.split(_c_fn(consts, acc)(np.concatenate([lo, hi])), 2)
+    w_lo, w_hi = np.split(_c_fn(consts)(np.concatenate([lo, hi])), 2)
     bad = w_lo * w_hi > 0
     if np.any(bad):
         raise UnmatchedRoot(
             f"no pole bracket near eta = {float(eta_star[bad][0])!r}")
     wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(z_star[0])))
-    z_a, z_b = _refine_brackets(_newton_fn(consts, acc), lo, hi, np.sign(w_lo),
+    z_a, z_b = _refine_brackets(_newton_fn(consts), lo, hi, np.sign(w_lo),
                                 z_star, wtol)
     eta_pole = np.sqrt(0.5 * (z_a + z_b) / k)
     sep = np.abs(eta_pole - eta_star)
@@ -394,7 +391,7 @@ def _modulus_series():
     return s_ser
 
 
-def _tail_ends(zs, consts, acc):
+def _tail_ends(zs, consts):
     """Boundary terms of _tail_segment's by-parts integral at each z of zs.
 
     Returns a dict from each z to its term.  One evaluator request serves
@@ -413,7 +410,7 @@ def _tail_ends(zs, consts, acc):
     two_psi_cos = (consts.c2**2 - consts.c1**2) / (consts.c1**2 + consts.c2**2)
     two_psi_sin = 2.0 * consts.c1 * consts.c2 / (consts.c1**2 + consts.c2**2)
 
-    j, y = specfun._jy(zs, [("J", 0.25, 0), ("Y", 0.25, 0)], acc)
+    j, y = specfun._jy(zs, [("J", 0.25, 0), ("Y", 0.25, 0)])
     m2 = j * j + y * y
     cos2t = (j * j - y * y) / m2
     sin2t = 2.0 * j * y / m2
@@ -449,12 +446,12 @@ def _tail_segment(a, b, ends, consts):
     return total, err
 
 
-def _segment_integral(z_a, z_b, zero_edges, ends, consts, acc, tol, nodes, weights):
+def _segment_integral(z_a, z_b, zero_edges, ends, consts, tol, nodes, weights):
     """Integral of w(z)^2 over [z_a, z_b] split at _TAIL_START."""
     total = 0.0
     err = 0.0
     lo_end = min(z_b, _TAIL_START)
-    w = _c_fn(consts, acc)
+    w = _c_fn(consts)
     if z_a < lo_end:
         inner = zero_edges[(zero_edges > z_a) & (zero_edges < lo_end)]
         if z_a == 0.0:
@@ -498,8 +495,7 @@ def _fit_tail(hs, fs):
 
 
 def integrate_density(upper_limits, params: PhysicalParams,
-                      consts: SolutionConstants, tol: float = 1e-9,
-                      acc: EvalAccuracy = DEFAULT_ACCURACY) -> QuadratureResult:
+                      consts: SolutionConstants, tol: float = 1e-9) -> QuadratureResult:
     """Running integral F(H) of the density shape function over (0, H].
 
     Panels follow the zero list of the oscillating factor up to the
@@ -520,9 +516,9 @@ def integrate_density(upper_limits, params: PhysicalParams,
     pref = math.pi**2 / (128.0 * k)
     z_cps = [k * h * h for h in checkpoints]
     b_lo, b_hi, sign_lo, start = _bracket_zeros(
-        _c_fn(consts, acc), 1e-8, min(z_cps[-1], _TAIL_START))
+        _c_fn(consts), 1e-8, min(z_cps[-1], _TAIL_START))
     if len(b_lo):
-        z_a, z_b = _refine_brackets(_newton_fn(consts, acc), b_lo, b_hi, sign_lo,
+        z_a, z_b = _refine_brackets(_newton_fn(consts), b_lo, b_hi, sign_lo,
                                     start, 1e-10)
         zero_edges = 0.5 * (z_a + z_b)
     else:
@@ -530,15 +526,14 @@ def integrate_density(upper_limits, params: PhysicalParams,
     nodes, weights = _GAUSS_NODES, _GAUSS_WEIGHTS
     # every tail segment starts at _TAIL_START or at the checkpoint before it
     tail_z = [z for z in z_cps if z > _TAIL_START]
-    ends = _tail_ends(np.array([_TAIL_START] + tail_z), consts, acc) if tail_z else {}
+    ends = _tail_ends(np.array([_TAIL_START] + tail_z), consts) if tail_z else {}
 
     running = 0.0
     err_running = 0.0
     at_checkpoints = []
     prev = 0.0
     for z_cp in z_cps:
-        v, e = _segment_integral(prev, z_cp, zero_edges, ends, consts, acc,
-                                 tol, nodes, weights)
+        v, e = _segment_integral(prev, z_cp, zero_edges, ends, consts, tol, nodes, weights)
         running += v
         err_running += e
         at_checkpoints.append((running, err_running))
@@ -574,8 +569,7 @@ _FIG1_MASSES = (1.0, 0.5)
 
 def figure_series(figure_id: str, params: PhysicalParams,
                   consts: SolutionConstants, grid: GridSpec | None = None,
-                  time_grid: GridSpec | None = None,
-                  acc: EvalAccuracy = DEFAULT_ACCURACY) -> SampleSeries:
+                  time_grid: GridSpec | None = None) -> SampleSeries:
     """Plot-ready data series for the three standard figures.
 
     fig1: density shape for the two reference masses (1 and 0.5).
@@ -590,14 +584,14 @@ def figure_series(figure_id: str, params: PhysicalParams,
         for mass in _FIG1_MASSES:
             p = PhysicalParams(m=mass, hbar=params.hbar, dimension=params.dimension)
             label = "f_m" + ("1" if mass == 1.0 else "0p5")
-            cols.append((label, _simplified_shape_density_arr(etas, p, consts, acc)))
+            cols.append((label, _simplified_shape_density_arr(etas, p, consts)))
         return SampleSeries.from_columns(cols)
     if figure_id == "fig2":
         gx = grid or GridSpec(0.1, 6.0, 160)
         gt = time_grid or GridSpec(0.25, 4.0, 7, "log")
         xs = gx.points()
         ts = gt.points()
-        re_psi = _lab_arrays(("psi_re",), xs, 0.0, ts[:, None], params, consts, acc,
+        re_psi = _lab_arrays(("psi_re",), xs, 0.0, ts[:, None], params, consts,
                              _simplified_shape_density_arr)[0]
         return SampleSeries.from_columns(
             [("x", np.tile(xs, len(ts))),
@@ -606,7 +600,7 @@ def figure_series(figure_id: str, params: PhysicalParams,
     if figure_id == "fig3":
         g = grid or GridSpec(0.05, 12.0, 600)
         etas = g.points()
-        f = _simplified_shape_density_arr(etas, params, consts, acc)
-        q, _ = quantum_potential_eq9_masked(etas, params, consts, acc=acc)
+        f = _simplified_shape_density_arr(etas, params, consts)
+        q, _ = quantum_potential_eq9_masked(etas, params, consts)
         return SampleSeries.from_columns([("eta", etas), ("f", f), ("Q", q)])
     raise DomainError(f"unknown figure id {figure_id!r}")

@@ -449,8 +449,10 @@ def cmd_zeros(cfg: RunConfig, args) -> int:
     lo, hi = (float(v) for v in args.range.split(":"))
     roots = analysis.find_zeros((lo, hi), cfg.params, cfg.consts,
                                 max_roots=args.max_roots)
-    matched = analysis.match_poles(roots, cfg.params, cfg.consts)
-    eta, pole, sep = zip(*matched.matched_poles)
+    matched = ()
+    if roots.roots:  # else --max-roots 0 on a range without zeros: header only
+        matched = analysis.match_poles(roots, cfg.params, cfg.consts).matched_poles
+    eta, pole, sep = zip(*matched) if matched else ((), (), ())
     index = np.arange(1, len(eta) + 1, dtype=float)
     emit(CsvTable(["index", "eta_star", "q_pole_eta", "separation"],
                   [index, eta, pole, sep]), cfg)

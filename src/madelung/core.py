@@ -26,7 +26,6 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, SingularityError, require_finite
-from .specfun import DEFAULT_ACCURACY, EvalAccuracy
 
 __all__ = [
     "LAB_FIELDS",
@@ -210,14 +209,14 @@ def _check_eta(eta) -> np.ndarray:
 _FOUR_BESSELS = (("J", 0.25, 0), ("Y", 0.25, 0), ("J", -0.75, 0), ("Y", -0.75, 0))
 
 
-def _four_bessel_terms(z, consts, acc):
+def _four_bessel_terms(z, consts):
     # the literal closed form's numerator -c1 J_{1/4} + c2 Y_{1/4} and cross
     # product J_{-3/4} Y_{1/4} - J_{1/4} Y_{-3/4}, from one _jy request
-    j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS, acc)
+    j, y, jm, ym = specfun._jy(z, _FOUR_BESSELS)
     return -consts.c1 * j + consts.c2 * y, jm * y - j * ym
 
 
-def _w_bundle(z, consts, acc, upto=0):
+def _w_bundle(z, consts, upto=0):
     """w = c2 Y_{1/4}(z) - c1 J_{1/4}(z) and its z-derivatives through `upto`.
 
     Returns [w, w', ...].  w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z), from
@@ -229,7 +228,7 @@ def _w_bundle(z, consts, acc, upto=0):
     """
     wanted = list(_FOUR_BESSELS[:2 if upto == 0 else 4])
     wanted += [(kind, 0.25, k) for k in range(2, upto + 1) for kind in ("J", "Y")]
-    j, y, *rest = specfun._jy(z, wanted, acc)
+    j, y, *rest = specfun._jy(z, wanted)
     ws = [consts.c2 * y - consts.c1 * j]
     if upto >= 1:
         jm, ym, *rest = rest
@@ -274,28 +273,28 @@ def _blockwise(kernel, arrays, *args):
     return outs if isinstance(part, tuple) else outs[0]
 
 
-def _shape_density_block(eta, params, consts, acc):
+def _shape_density_block(eta, params, consts):
     z = _z_arg(eta, params)
     mm = _mass_scale(params)
     if not math.isfinite(mm * mm):
         # m beyond ~1e154: the denominator cannot be formed, so f is NaN
         # (the caller reports non-finite f), never an underflowed 0
         return np.full_like(z, np.nan)
-    num, cross = _four_bessel_terms(z, consts, acc)
+    num, cross = _four_bessel_terms(z, consts)
     return 2.0 * num**2 / (eta**3 * mm * mm * cross * cross)
 
 
-def _shape_density_arr(eta, params, consts, acc):
-    return _blockwise(_shape_density_block, (eta,), params, consts, acc)
+def _shape_density_arr(eta, params, consts):
+    return _blockwise(_shape_density_block, (eta,), params, consts)
 
 
-def _simplified_shape_density_block(eta, params, consts, acc):
-    w = _w_bundle(_z_arg(eta, params), consts, acc)[0]
+def _simplified_shape_density_block(eta, params, consts):
+    w = _w_bundle(_z_arg(eta, params), consts)[0]
     return _SHAPE_AMPLITUDE * eta * w * w
 
 
-def _simplified_shape_density_arr(eta, params, consts, acc):
-    return _blockwise(_simplified_shape_density_block, (eta,), params, consts, acc)
+def _simplified_shape_density_arr(eta, params, consts):
+    return _blockwise(_simplified_shape_density_block, (eta,), params, consts)
 
 
 def _scalar_or_array(fn, eta, *args):
@@ -309,18 +308,16 @@ def _scalar_or_array(fn, eta, *args):
 # public operations
 
 
-def shape_density(eta, params: PhysicalParams, consts: SolutionConstants,
-                  acc: EvalAccuracy = DEFAULT_ACCURACY):
+def shape_density(eta, params: PhysicalParams, consts: SolutionConstants):
     """Density shape function f(eta), evaluated from the literal closed form.
 
     The four-Bessel denominator is computed numerically; see
     simplified_shape_density for the algebraically reduced route.
     """
-    return _scalar_or_array(_shape_density_arr, eta, params, consts, acc)
+    return _scalar_or_array(_shape_density_arr, eta, params, consts)
 
 
-def simplified_shape_density(eta, params: PhysicalParams, consts: SolutionConstants,
-                             acc: EvalAccuracy = DEFAULT_ACCURACY):
+def simplified_shape_density(eta, params: PhysicalParams, consts: SolutionConstants):
     """f(eta) with the denominator collapsed by the cross-product identity.
 
     Substituting J_{-3/4} Y_{1/4} - J_{1/4} Y_{-3/4} = -2/(pi z) into the
@@ -328,7 +325,7 @@ def simplified_shape_density(eta, params: PhysicalParams, consts: SolutionConsta
 
         f(eta) = (pi^2/64) eta (c2 Y_{1/4}(z) - c1 J_{1/4}(z))^2.
     """
-    return _scalar_or_array(_simplified_shape_density_arr, eta, params, consts, acc)
+    return _scalar_or_array(_simplified_shape_density_arr, eta, params, consts)
 
 
 def shape_velocity_sum(eta, consts: SolutionConstants):
@@ -355,7 +352,7 @@ def _phase(s, t, params):
     return params.m * s * s / (4.0 * params.hbar * t)
 
 
-def _lab_block(x, y, t, names, params, consts, acc, shape):
+def _lab_block(x, y, t, names, params, consts, shape):
     # the LAB_FIELDS in names on broadcast (x, y, t) arrays, sharing eta,
     # rho and S between them
     s = x + y
@@ -368,7 +365,7 @@ def _lab_block(x, y, t, names, params, consts, acc, shape):
         g, h = shape_velocity_split(eta, consts)
         fields.update(u=g / rt, v=h / rt)
     if set(names) & {"rho", "psi_re", "psi_im"}:
-        fields["rho"] = shape(_check_eta(eta), params, consts, acc) / rt
+        fields["rho"] = shape(_check_eta(eta), params, consts) / rt
         amp = np.sqrt(fields["rho"])
         for name, trig in (("psi_re", np.cos), ("psi_im", np.sin)):
             if name in names:
@@ -376,13 +373,13 @@ def _lab_block(x, y, t, names, params, consts, acc, shape):
     return tuple(fields[name] for name in names)
 
 
-def _lab_arrays(names, x, y, t, params, consts, acc, shape=_shape_density_arr):
+def _lab_arrays(names, x, y, t, params, consts, shape=_shape_density_arr):
     # _lab_block over the broadcast (x, y, t), _BLOCK points at a time;
     # shape is the density-shape kernel of rho
     x, y, t = (np.asarray(v, dtype=float) for v in (x, y, t))
     if not np.all(t > 0.0):
         raise DomainError("t must be positive")
-    fields = _blockwise(_lab_block, (x, y, t), names, params, consts, acc, shape)
+    fields = _blockwise(_lab_block, (x, y, t), names, params, consts, shape)
     for name, values in zip(names, fields):
         if name in ("psi_re", "psi_im"):
             require_finite(name, values, x=x, y=y, t=t)
@@ -390,7 +387,7 @@ def _lab_arrays(names, x, y, t, params, consts, acc, shape=_shape_density_arr):
 
 
 def lab_field(name: str, x, y, t, params: PhysicalParams,
-              consts: SolutionConstants, acc: EvalAccuracy = DEFAULT_ACCURACY) -> np.ndarray:
+              consts: SolutionConstants) -> np.ndarray:
     """One field of LAB_FIELDS on whole arrays of lab coordinates.
 
     x, y and t broadcast against each other.  rho = f(eta)/sqrt(t) from the
@@ -401,18 +398,17 @@ def lab_field(name: str, x, y, t, params: PhysicalParams,
     """
     if name not in LAB_FIELDS:
         raise DomainError(f"unknown lab field {name!r}; expected one of {LAB_FIELDS}")
-    return _lab_arrays((name,), x, y, t, params, consts, acc)[0]
+    return _lab_arrays((name,), x, y, t, params, consts)[0]
 
 
-def _at_point(names, p: LabPoint, params, consts, acc=DEFAULT_ACCURACY):
-    fields = _lab_arrays(names, [p.x], [p.y], [p.t], params, consts, acc)
+def _at_point(names, p: LabPoint, params, consts):
+    fields = _lab_arrays(names, [p.x], [p.y], [p.t], params, consts)
     return tuple(float(v[0]) for v in fields)
 
 
-def density(p: LabPoint, params: PhysicalParams, consts: SolutionConstants,
-            acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
+def density(p: LabPoint, params: PhysicalParams, consts: SolutionConstants) -> float:
     """rho(x, y, t) = f(eta)/sqrt(t)."""
-    return _at_point(("rho",), p, params, consts, acc)[0]
+    return _at_point(("rho",), p, params, consts)[0]
 
 
 def velocity(p: LabPoint, params: PhysicalParams, consts: SolutionConstants):
@@ -432,15 +428,13 @@ def phase(p: LabPoint, params: PhysicalParams) -> float:
 
 
 def wavefunction_canonical(p: LabPoint, params: PhysicalParams,
-                           consts: SolutionConstants,
-                           acc: EvalAccuracy = DEFAULT_ACCURACY) -> ComplexAmplitude:
+                           consts: SolutionConstants) -> ComplexAmplitude:
     """sqrt(rho) e^{iS}: modulus from the density, argument from the phase."""
-    return ComplexAmplitude(*_at_point(("psi_re", "psi_im"), p, params, consts, acc))
+    return ComplexAmplitude(*_at_point(("psi_re", "psi_im"), p, params, consts))
 
 
 def wavefunction_eq8(p: LabPoint, params: PhysicalParams,
-                     consts: SolutionConstants,
-                     acc: EvalAccuracy = DEFAULT_ACCURACY) -> ComplexAmplitude:
+                     consts: SolutionConstants) -> ComplexAmplitude:
     """Alternative closed-form wave function with the t^{1/4} prefactor.
 
     Keeps the prefactor and the unsquared four-Bessel denominator of the
@@ -450,15 +444,15 @@ def wavefunction_eq8(p: LabPoint, params: PhysicalParams,
     """
     if not p.s > 0:
         raise DomainError("x + y must be positive")
-    psi = complex(_psi_eq8(*(np.array([v]) for v in (p.x, p.y, p.t)), params, consts, acc)[0])
+    psi = complex(_psi_eq8(*(np.array([v]) for v in (p.x, p.y, p.t)), params, consts)[0])
     return ComplexAmplitude(psi.real, psi.imag)
 
 
-def _psi_eq8(x, y, t, params, consts, acc):
+def _psi_eq8(x, y, t, params, consts):
     # wavefunction_eq8 on broadcast (x, y, t) arrays with x + y > 0
     s = x + y
     z = _z_arg(s / np.sqrt(t), params)
-    num, cross = _four_bessel_terms(z, consts, acc)
+    num, cross = _four_bessel_terms(z, consts)
     modulus = math.sqrt(2.0) * t**0.25 * num / (s**1.5 * _mass_scale(params) * cross)
     return modulus * np.exp(1j * _phase(s, t, params))
 
@@ -470,16 +464,16 @@ def _newton_distance(eta, z, w, w1):
     return np.abs(w / (w1 * dz_deta)), dz_deta
 
 
-def _zero_distance(eta, params, consts, acc):
+def _zero_distance(eta, params, consts):
     """Newton estimate of the eta-distance to the nearest density zero,
     plus the local half-oscillation width pi/(dz/deta)."""
     eta = np.asarray(eta, dtype=float)
     z = _z_arg(eta, params)
-    dist, dz_deta = _newton_distance(eta, z, *_w_bundle(z, consts, acc, upto=1))
+    dist, dz_deta = _newton_distance(eta, z, *_w_bundle(z, consts, upto=1))
     return dist, np.pi / dz_deta
 
 
-def _q9_block(eta, params, consts, acc):
+def _q9_block(eta, params, consts):
     # bracket denominator D(z) = c1 J_{1/4} - c2 Y_{1/4} = -w and the
     # analytic eta-derivative of -eta^2 M^2 / (8 D)
     z = _z_arg(eta, params)
@@ -489,7 +483,7 @@ def _q9_block(eta, params, consts, acc):
         # m or hbar beyond ~1e154: Q cannot be formed, so it is NaN with no
         # point excluded, and the caller reports non-finite Q
         return np.full_like(z, np.nan), np.full_like(z, np.inf)
-    w, w1 = _w_bundle(z, consts, acc, upto=1)
+    w, w1 = _w_bundle(z, consts, upto=1)
     d, dprime = -w, -w1
     mm = _mass_scale(params)
     q = -pref * mm * mm * eta / 4.0 * (1.0 - z * dprime / d) / d
@@ -497,13 +491,12 @@ def _q9_block(eta, params, consts, acc):
     return q, _newton_distance(eta, z, w, w1)[0]
 
 
-def _q9_terms(eta, params, consts, acc):
-    return _blockwise(_q9_block, (eta,), params, consts, acc)
+def _q9_terms(eta, params, consts):
+    return _blockwise(_q9_block, (eta,), params, consts)
 
 
 def quantum_potential_eq9(eta, params: PhysicalParams, consts: SolutionConstants,
-                          exclusion_radius: float = 1e-9,
-                          acc: EvalAccuracy = DEFAULT_ACCURACY):
+                          exclusion_radius: float = 1e-9):
     """Quantum potential shape from the printed closed form.
 
     Q(eta) = (hbar^2 / 2 m^2) d/deta [ -eta^2 M^2 / (8 (c1 J_{1/4}(z)
@@ -514,7 +507,7 @@ def quantum_potential_eq9(eta, params: PhysicalParams, consts: SolutionConstants
     """
     scalar = np.isscalar(eta) or getattr(eta, "ndim", 1) == 0
     arr = np.atleast_1d(_check_eta(eta))
-    q, dist = _q9_terms(arr, params, consts, acc)
+    q, dist = _q9_terms(arr, params, consts)
     if np.any(dist < exclusion_radius):
         bad = float(arr[dist < exclusion_radius][0])
         raise SingularityError(
@@ -523,11 +516,10 @@ def quantum_potential_eq9(eta, params: PhysicalParams, consts: SolutionConstants
 
 
 def quantum_potential_eq9_masked(eta, params: PhysicalParams, consts: SolutionConstants,
-                                 exclusion_radius: float = 1e-9,
-                                 acc: EvalAccuracy = DEFAULT_ACCURACY):
+                                 exclusion_radius: float = 1e-9):
     """Array variant that NaN-masks excluded points instead of raising."""
     arr = np.atleast_1d(_check_eta(eta))
-    q, dist = _q9_terms(arr, params, consts, acc)
+    q, dist = _q9_terms(arr, params, consts)
     excluded = dist < exclusion_radius
     q = np.where(excluded, np.nan, q)
     return q, excluded

@@ -402,7 +402,7 @@ def _positions(mask: np.ndarray):
     return idx
 
 
-def _jy(z: np.ndarray, wanted, acc: EvalAccuracy) -> list:
+def _jy(z: np.ndarray, wanted, acc: EvalAccuracy = DEFAULT_ACCURACY) -> list:
     """J_nu, Y_nu and their derivatives on one z array, sharing the work.
 
     wanted holds (kind, nu, k) triples: the k-th derivative (k = 0 for the
@@ -410,6 +410,8 @@ def _jy(z: np.ndarray, wanted, acc: EvalAccuracy) -> list:
     one array per triple is returned, shaped like z.  One kernel pass per
     regime (_in_chunks) serves every order.  Y comes from J_{+-nu} by the
     connection formula below the switchover and from Hankel's expansion above.
+    acc defaults to DEFAULT_ACCURACY, at which core, verify and analysis
+    evaluate every field.
     """
     kept = sorted({order for _, nu, k in wanted for order in _orders(nu, k)})
     y_orders = sorted({order for kind, nu, k in wanted if kind == "Y" for order in _orders(nu, k)})
@@ -490,7 +492,6 @@ def bessel_y(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
 
 
 def _deriv(kind: str, nu: BesselOrder, z, k: int, acc: EvalAccuracy):
-    _check_z(z)
     if k not in (1, 2, 3):
         raise DomainError("derivative order must be 1, 2 or 3")
     return _evaluate(z, [(kind, nu.value, k)], acc)

@@ -37,7 +37,6 @@ from .core import (
 )
 from .errors import DomainError, SingularityError, StepTooLarge, StiffnessError, ZeroCrossing
 from .series import SampleSeries
-from .specfun import DEFAULT_ACCURACY, EvalAccuracy
 
 __all__ = [
     "GridSpec",
@@ -108,15 +107,15 @@ class OdeState:
 # analytic shape-function derivatives
 
 
-def shape_derivatives(eta, params, consts, acc=DEFAULT_ACCURACY, upto=2):
-    """f and its eta-derivatives through order `upto` (2 or 3).
+def shape_derivatives(eta, params, consts, upto=2):
+    """f and its eta-derivatives through order `upto` (1, 2 or 3).
 
     Chain rule through z = k eta^2 applied to f = (pi^2/64) eta w(z)^2.
     """
     eta = np.asarray(eta, dtype=float)
     z = _z_arg(eta, params)
     kconst = _k_const(params)
-    ws = _w_bundle(z, consts, acc, upto)
+    ws = _w_bundle(z, consts, upto)
     a = _SHAPE_AMPLITUDE
     w, w1 = ws[0], ws[1]
     f = a * eta * w * w
@@ -139,8 +138,8 @@ def shape_derivatives(eta, params, consts, acc=DEFAULT_ACCURACY, upto=2):
 # shape-equation residuals
 
 
-def residual_ode5(grid: GridSpec, params: PhysicalParams, consts: SolutionConstants,
-                  acc: EvalAccuracy = DEFAULT_ACCURACY) -> ResidualReport:
+def residual_ode5(grid: GridSpec, params: PhysicalParams,
+                  consts: SolutionConstants) -> ResidualReport:
     """Back-substitution residual of 2 f'' f - (f')^2 + m^2 eta^2 f^2/(d hbar^2).
 
     The derivatives come from the Bessel order-shift recurrences, so the
@@ -150,7 +149,7 @@ def residual_ode5(grid: GridSpec, params: PhysicalParams, consts: SolutionConsta
     etas = grid.points()
     if np.any(etas <= 0):
         raise DomainError("ode5 grid must lie in (0, inf)")
-    f, f1, f2 = shape_derivatives(etas, params, consts, acc, upto=2)
+    f, f1, f2 = shape_derivatives(etas, params, consts, upto=2)
     t_curv = 2.0 * f2 * f
     t_grad = f1 * f1
     t_mass = params.m**2 * etas**2 * f * f / (params.dimension * params.hbar**2)
@@ -163,8 +162,7 @@ def residual_ode5(grid: GridSpec, params: PhysicalParams, consts: SolutionConsta
 
 
 def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
-                         consts: SolutionConstants,
-                         acc: EvalAccuracy = DEFAULT_ACCURACY) -> ResidualReport:
+                         consts: SolutionConstants) -> ResidualReport:
     """Residuals of the coupled shape-function system under the symmetric split.
 
     With g = h = (eta - c0)/4 the continuity equation cancels identically
@@ -175,7 +173,7 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
     etas = grid.points()
     if np.any(etas <= 0):
         raise DomainError("grid must lie in (0, inf)")
-    f, f1, f2, f3 = shape_derivatives(etas, params, consts, acc, upto=3)
+    f, f1, f2, f3 = shape_derivatives(etas, params, consts, upto=3)
     gh_sum = shape_velocity_sum(etas, consts)
     g, _ = shape_velocity_split(etas, consts)
     gp = _SPLIT_SLOPE
@@ -198,7 +196,7 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
         [np.abs(lhs1), np.abs(lhs2), np.abs(lhs3), np.abs(r1), np.abs(r2), np.abs(r3)])
     mom_rel = np.abs(mom_g) / np.maximum(mom_scale, 1e-300)
 
-    dist, _ = _zero_distance(etas, params, consts, acc)
+    dist, _ = _zero_distance(etas, params, consts)
     excluded = dist < _ODE_EXCLUSION
     mom_rel_m = np.where(excluded, np.nan, mom_rel)
     mom_g = np.where(excluded, np.nan, mom_g)
@@ -227,9 +225,9 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
 # lab-frame finite-difference residuals
 
 
-def _lab_fields(names, x, y, t, params, consts, acc):
+def _lab_fields(names, x, y, t, params, consts):
     # core's lab fields, with the simplified density shape for rho
-    return _lab_arrays(names, x, y, t, params, consts, acc, _simplified_shape_density_arr)
+    return _lab_arrays(names, x, y, t, params, consts, _simplified_shape_density_arr)
 
 
 def _mesh(space_grid, time_grid):
@@ -250,17 +248,17 @@ def _stencil_mesh(space_grid, time_grid, ds, dt):
     return x, y, t
 
 
-def _lab_exclusion(x, y, t, params, consts, acc):
+def _lab_exclusion(x, y, t, params, consts):
     eta = (x + y) / np.sqrt(t)
-    dist, arch = _zero_distance(eta, params, consts, acc)
+    dist, arch = _zero_distance(eta, params, consts)
     return dist < _LAB_EXCLUSION * arch
 
 
-def _continuity_euler(x, y, t, params, consts, acc, h, hq):
+def _continuity_euler(x, y, t, params, consts, h, hq):
     def diffs(dx, dy, dt):
         # central differences of rho, rho u and u along (dx, dy, dt)
         (rp, up), (rm, um) = (
-            _lab_fields(("rho", "u"), x + e * dx, y + e * dy, t + e * dt, params, consts, acc)
+            _lab_fields(("rho", "u"), x + e * dx, y + e * dy, t + e * dt, params, consts)
             for e in (1.0, -1.0))
         return (rp - rm) / (2 * h), (rp * up - rm * um) / (2 * h), (up - um) / (2 * h)
 
@@ -273,7 +271,7 @@ def _continuity_euler(x, y, t, params, consts, acc, h, hq):
     # quantum term by nested differences of sqrt(rho); the inner Laplacian
     # uses the wider step hq to keep its rounding noise below the budget
     def sq(xx, yy, tt_):
-        return np.sqrt(_lab_fields(("rho",), xx, yy, tt_, params, consts, acc)[0])
+        return np.sqrt(_lab_fields(("rho",), xx, yy, tt_, params, consts)[0])
 
     def g_of(xx):
         ctr = sq(xx, y, t)
@@ -284,7 +282,7 @@ def _continuity_euler(x, y, t, params, consts, acc, h, hq):
     qpref = params.hbar**2 / (2.0 * params.m**2)
     q_x = qpref * (g_of(x + h) - g_of(x - h)) / (2 * h)
 
-    [u] = _lab_fields(("u",), x, y, t, params, consts, acc)
+    [u] = _lab_fields(("u",), x, y, t, params, consts)
     adv_x = u * u_x
     adv_y = u * u_y
     euler = u_t + adv_x + adv_y - q_x
@@ -317,8 +315,7 @@ def _richardson_ratio(a, b, kept):
 
 def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
                      params: PhysicalParams, consts: SolutionConstants,
-                     fd_step: float = 1e-4,
-                     acc: EvalAccuracy = DEFAULT_ACCURACY):
+                     fd_step: float = 1e-4):
     """Finite-difference residuals of the lab-frame fluid equations.
 
     Returns (continuity, euler_x, euler_y) reports over the space grid in
@@ -331,9 +328,9 @@ def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
     """
     hq = max(fd_step, 1e-3)
     x, y, t = _stencil_mesh(space_grid, time_grid, fd_step + hq, fd_step)
-    cont, cs, euler, es = _continuity_euler(x, y, t, params, consts, acc, fd_step, hq)
-    excl = _lab_exclusion(x, y, t, params, consts, acc)
-    cont2, _, euler2, _ = _continuity_euler(x, y, t, params, consts, acc, fd_step / 2.0, hq)
+    cont, cs, euler, es = _continuity_euler(x, y, t, params, consts, fd_step, hq)
+    excl = _lab_exclusion(x, y, t, params, consts)
+    cont2, _, euler2, _ = _continuity_euler(x, y, t, params, consts, fd_step / 2.0, hq)
     extras = {}
     for name, a, b in (("continuity", cont, cont2), ("euler", euler, euler2)):
         ratio = _richardson_ratio(a, b, ~excl)
@@ -348,8 +345,8 @@ def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
     return cont_rep, ex_rep, ey_rep
 
 
-def _psi_canonical(x, y, t, params, consts, acc):
-    re, im = _lab_fields(("psi_re", "psi_im"), x, y, t, params, consts, acc)
+def _psi_canonical(x, y, t, params, consts):
+    re, im = _lab_fields(("psi_re", "psi_im"), x, y, t, params, consts)
     return re + 1j * im
 
 
@@ -367,7 +364,6 @@ def _schrodinger_residual(x, y, t, params, h, psi):
 def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
                          params: PhysicalParams, consts: SolutionConstants,
                          fd_step: float = 1e-4,
-                         acc: EvalAccuracy = DEFAULT_ACCURACY,
                          use_eq8: bool = False,
                          *, psi=None) -> ResidualReport:
     """Finite-difference residual of the free Schrodinger equation.
@@ -395,7 +391,7 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
         kernel = _psi_eq8 if use_eq8 else _psi_canonical
 
         def psi(xx, yy, tt_):
-            return kernel(xx, yy, tt_, params, consts, acc)
+            return kernel(xx, yy, tt_, params, consts)
         wavefunction = "eq8" if use_eq8 else "canonical"
     elif use_eq8:
         raise DomainError("psi and use_eq8 are mutually exclusive")
@@ -403,7 +399,7 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
         wavefunction = "custom"
     x, y, t = _stencil_mesh(space_grid, time_grid, fd_step, fd_step)
     res, scale = _schrodinger_residual(x, y, t, params, fd_step, psi)
-    excl = _lab_exclusion(x, y, t, params, consts, acc)
+    excl = _lab_exclusion(x, y, t, params, consts)
     res2, _ = _schrodinger_residual(x, y, t, params, fd_step / 2.0, psi)
     ratio = _richardson_ratio(res, res2, ~excl)
     if ratio > 10.0:
@@ -424,7 +420,7 @@ def residual_phase_gradient(space_grid: GridSpec, time_grid: GridSpec,
     lab velocity, so a space grid with some x + y <= 0 raises DomainError.
     """
     x, y, t = _mesh(space_grid, time_grid)
-    [uval] = _lab_fields(("u",), x, y, t, params, consts, DEFAULT_ACCURACY)
+    [uval] = _lab_fields(("u",), x, y, t, params, consts)
     grad_term = (x + y) / (2.0 * t)  # (hbar/m) dS/dx = (hbar/m) dS/dy
     res = uval - grad_term
     rel = np.abs(res) / np.maximum(np.abs(grad_term), 1e-300)
@@ -464,8 +460,7 @@ _ZERO_FLOOR = 1e-12
 
 
 def ode5_oracle_march(eta0: float, eta1: float, params: PhysicalParams,
-                      consts: SolutionConstants, tol: float = 1e-10,
-                      acc: EvalAccuracy = DEFAULT_ACCURACY) -> SampleSeries:
+                      consts: SolutionConstants, tol: float = 1e-10) -> SampleSeries:
     """Integrate f'' = ((f')^2 - m^2 eta^2 f^2/(d hbar^2)) / (2 f) numerically.
 
     Starts from closed-form initial data at eta0 and marches to eta1 with
@@ -477,7 +472,7 @@ def ode5_oracle_march(eta0: float, eta1: float, params: PhysicalParams,
     if not (eta0 > 0 and eta1 > eta0):
         raise DomainError("need 0 < eta0 < eta1")
     f0, f1 = (float(v[0]) for v in shape_derivatives(
-        np.array([eta0]), params, consts, acc, upto=1))
+        np.array([eta0]), params, consts, upto=1))
     if f0 <= 1e-10:
         raise DomainError("eta0 is too close to a density zero")
     state0 = OdeState(f0, f1)
@@ -541,8 +536,7 @@ def ode5_oracle_march(eta0: float, eta1: float, params: PhysicalParams,
 
 def quantum_potential_direct(eta: float, params: PhysicalParams,
                              consts: SolutionConstants,
-                             fd_step: float = 1e-4,
-                             acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
+                             fd_step: float = 1e-4) -> float:
     """(hbar^2/2m^2) d/deta [ (sqrt f)'' / sqrt f ] by nested differences.
 
     The inner second derivative of sqrt(f) uses step 3*fd_step; the outer
@@ -553,7 +547,7 @@ def quantum_potential_direct(eta: float, params: PhysicalParams,
     """
     h2 = 3.0 * fd_step
     h1 = 100.0 * fd_step
-    dist, _ = _zero_distance(np.array([eta]), params, consts, acc)
+    dist, _ = _zero_distance(np.array([eta]), params, consts)
     guard = max(10.0 * fd_step, 2.0 * (h1 + 2 * h2))
     if float(dist[0]) < guard:
         raise SingularityError(
@@ -562,7 +556,7 @@ def quantum_potential_direct(eta: float, params: PhysicalParams,
                     eta + h1 - h2, eta + h1, eta + h1 + h2])
     if np.any(pts <= 0):
         raise DomainError("stencil leaves eta > 0")
-    root_f = np.sqrt(_simplified_shape_density_arr(pts, params, consts, acc))
+    root_f = np.sqrt(_simplified_shape_density_arr(pts, params, consts))
     w_minus = (root_f[0] - 2 * root_f[1] + root_f[2]) / (h2 * h2) / root_f[1]
     w_plus = (root_f[3] - 2 * root_f[4] + root_f[5]) / (h2 * h2) / root_f[4]
     return params.hbar**2 / (2.0 * params.m**2) * (w_plus - w_minus) / (2 * h1)

@@ -105,7 +105,7 @@ class TestFindZeros:
         consts = SolutionConstants(c1=c1, c2=c2)
         k = m / (4.0 * SQ2)
         z_lo, z_hi = k * 0.1**2, k * eta_hi**2
-        fn = analysis._c_fn(consts, DEFAULT_ACCURACY)
+        fn = analysis._c_fn(consts)
         # the scan as a single evaluation of the whole mesh
         mesh = analysis._scan_mesh(z_lo, z_hi)
         vals = fn(mesh)
@@ -163,8 +163,8 @@ class TestFindZeros:
         points = []
         real = analysis._c_fn
 
-        def counting(consts, acc):
-            fn = real(consts, acc)
+        def counting(consts):
+            fn = real(consts)
 
             def wrapped(z):
                 points.append(np.size(z))
@@ -257,7 +257,7 @@ def bracket_set(m, c1, c2, name):
     k = m / (4.0 * SQ2)
     z_lo, z_hi = (1e-8, analysis._TAIL_START) if max_roots is None else (
         k * 0.1**2, k * 300.0**2)
-    fn = analysis._c_fn(consts, DEFAULT_ACCURACY)
+    fn = analysis._c_fn(consts)
     return consts, analysis._bracket_zeros(fn, z_lo, z_hi, max_roots), wtol
 
 
@@ -266,8 +266,8 @@ def counting_slope_fn(monkeypatch):
     counts = []
     real = analysis._newton_fn
 
-    def counting(consts, acc):
-        fn = real(consts, acc)
+    def counting(consts):
+        fn = real(consts)
         counts.append(0)
         slot = len(counts) - 1
 
@@ -285,10 +285,10 @@ class TestRefinement:
     @pytest.mark.parametrize("name", sorted(BRACKET_SETS))
     def test_newton_matches_regula_falsi(self, m, c1, c2, name):
         consts, (b_lo, b_hi, sign_lo, start), wtol = bracket_set(m, c1, c2, name)
-        c_fn = analysis._c_fn(consts, DEFAULT_ACCURACY)
+        c_fn = analysis._c_fn(consts)
         r_a, r_b = regula_falsi_reference(c_fn, b_lo, b_hi, wtol)
         z_a, z_b = analysis._refine_brackets(
-            analysis._newton_fn(consts, DEFAULT_ACCURACY), b_lo, b_hi, sign_lo, start, wtol)
+            analysis._newton_fn(consts), b_lo, b_hi, sign_lo, start, wtol)
         assert np.all(np.abs(0.5 * (z_a + z_b) - 0.5 * (r_a + r_b)) <= 2.0 * wtol)
         assert np.all(z_b - z_a <= np.maximum(wtol, 2.0 * np.spacing(z_b)))
         f_a, f_b = np.split(c_fn(np.concatenate([z_a, z_b])), 2)
@@ -412,9 +412,9 @@ class TestIntegrateDensity:
         integrate_density([10.0, 100.0, 1000.0, 10000.0], params, consts)
         [zs] = calls
         assert len(zs) == len(set(zs.tolist())) == 10 and zs[0] == analysis._TAIL_START
-        ends = real(zs, consts, DEFAULT_ACCURACY)
+        ends = real(zs, consts)
         for z in zs.tolist():
-            assert ends[z] == real(np.array([z]), consts, DEFAULT_ACCURACY)[z]
+            assert ends[z] == real(np.array([z]), consts)[z]
 
     def test_tail_ends_make_one_hankel_pass(self, consts, monkeypatch):
         # _tail_ends asks the evaluator, which above the default switchover
@@ -428,7 +428,7 @@ class TestIntegrateDensity:
             return real(orders, z, acc)
 
         monkeypatch.setattr(specfun, "_jy_asymptotic", spy)
-        analysis._tail_ends(zs, consts, DEFAULT_ACCURACY)
+        analysis._tail_ends(zs, consts)
         assert passes == [4]
         j, y = specfun._jy(zs, [("J", 0.25, 0), ("Y", 0.25, 0)], DEFAULT_ACCURACY)
         (jh,), (yh,) = real([0.25], zs, DEFAULT_ACCURACY)

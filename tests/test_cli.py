@@ -654,6 +654,11 @@ class TestZerosCommand:
         assert code == 3
         assert "no density zero" in err
 
+    def test_empty_range_without_cap_writes_header_only(self, capsys):
+        # max_roots = 0 sets no cap, so a range without zeros is not an error
+        code, out, err = run_cli(capsys, ["zeros", "--range", "0.1:0.2", "--max-roots", "0"])
+        assert (code, out, err) == (0, "index,eta_star,q_pole_eta,separation\n", "")
+
 
 class TestIntegrateCommand:
     def test_contract(self, capsys):

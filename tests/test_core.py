@@ -29,7 +29,6 @@ from madelung.core import (
     wavefunction_eq8,
 )
 from madelung.errors import DomainError, NonFiniteOutput, SingularityError
-from madelung.specfun import DEFAULT_ACCURACY
 
 import reference_values as ref
 
@@ -47,7 +46,7 @@ class TestWBundle:
         # within 1e-13 of the envelope sqrt(c1^2 + c2^2) sqrt(J'^2 + Y'^2)
         mp = pytest.importorskip("mpmath")
         z = np.geomspace(1e-2, 1e3, 60)
-        _, w1 = core._w_bundle(z, SolutionConstants(c1=c1, c2=c2), DEFAULT_ACCURACY, upto=1)
+        _, w1 = core._w_bundle(z, SolutionConstants(c1=c1, c2=c2), upto=1)
         with mp.workdps(30):
             for zi, got in zip(z.tolist(), w1.tolist()):
                 jp = mp.besselj(0.25, mp.mpf(zi), derivative=1)
@@ -60,10 +59,10 @@ class TestWBundle:
         # roots and Q (upto=1) and the shape derivatives (upto=3) share w and w'
         z = np.geomspace(1e-3, 1e4, 3001)
         consts = SolutionConstants(c1=c1, c2=c2)
-        short = core._w_bundle(z, consts, DEFAULT_ACCURACY, upto=1)
-        full = core._w_bundle(z, consts, DEFAULT_ACCURACY, upto=3)
+        short = core._w_bundle(z, consts, upto=1)
+        full = core._w_bundle(z, consts, upto=3)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(short, full[:2]))
-        assert core._w_bundle(z, consts, DEFAULT_ACCURACY)[0].tobytes() == short[0].tobytes()
+        assert core._w_bundle(z, consts)[0].tobytes() == short[0].tobytes()
 
 
 class TestDomainTypes:

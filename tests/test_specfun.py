@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -57,6 +58,26 @@ class TestEvalAccuracy:
     def test_invariants(self, kwargs):
         with pytest.raises(DomainError):
             EvalAccuracy(**kwargs)
+
+    def test_only_specfun_takes_an_accuracy(self):
+        # the layers above specfun evaluate at DEFAULT_ACCURACY: none of
+        # their functions or methods, public or private, takes an acc
+        def functions(mod):
+            for _, obj in inspect.getmembers(mod):
+                if getattr(obj, "__module__", None) != mod.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    yield obj
+                elif inspect.isclass(obj):
+                    yield from (f for _, f in inspect.getmembers(obj, inspect.isfunction)
+                                if f.__module__ == mod.__name__)
+
+        walked = [f for mod in (core, verify, analysis) for f in functions(mod)]
+        assert len(walked) > 50
+        assert [f.__qualname__ for f in walked
+                if "acc" in inspect.signature(f).parameters] == []
+        for fn in (bessel_j, bessel_y, bessel_j_deriv, bessel_y_deriv, cross_product):
+            assert "acc" in inspect.signature(fn).parameters, fn.__name__
 
 
 class TestGamma:
@@ -498,7 +519,7 @@ class TestKernelCallCounts:
 
     def test_one_w_evaluation(self, calls, consts):
         # J_{+-1/4} share the series and both ladders one recurrence
-        core._w_bundle(Z_CROSSING, consts, DEFAULT_ACCURACY)
+        core._w_bundle(Z_CROSSING, consts)
         assert calls == self.ONE_EACH
 
     def test_shape_derivatives_one_pass_per_regime(self, calls, params, consts):
@@ -681,20 +702,20 @@ class TestGoldenDigests:
                               indexing="ij")
         z = core._z_arg(eta, p)
         if name == "psi_eq8":
-            return [core._psi_eq8(x, y, t, p, c2, DEFAULT_ACCURACY)]
+            return [core._psi_eq8(x, y, t, p, c2)]
         if name == "psi_canonical":
-            return [verify._psi_canonical(x, y, t, p, c, DEFAULT_ACCURACY)]
+            return [verify._psi_canonical(x, y, t, p, c)]
         if name == "eq8_points":
             return [[core.wavefunction_eq8(core.LabPoint(s, 0.3, 1.0), p, c2).as_complex()
                      for s in (0.5, 3.0, 8.7, 9.5, 11.0, 25.0)]]
         if name == "shape_derivatives3":
             return verify.shape_derivatives(eta, p, c2, upto=3)
         if name == "zero_distance":
-            return core._zero_distance(eta, p, c2, DEFAULT_ACCURACY)
+            return core._zero_distance(eta, p, c2)
         if name == "c_squared":
-            return [analysis._c_fn(c2, DEFAULT_ACCURACY)(z) ** 2]
+            return [analysis._c_fn(c2)(z) ** 2]
         if name == "d_fn":  # D = -w
-            return [-core._w_bundle(z, c2, DEFAULT_ACCURACY)[0]]
+            return [-core._w_bundle(z, c2)[0]]
         return core.quantum_potential_eq9_masked(eta, p, c2)
 
     @pytest.mark.parametrize("name", list(LIBRARY))
