@@ -36,9 +36,7 @@ from .errors import (
 )
 from .series import SampleSeries
 from .specfun import (
-    DEFAULT_ACCURACY,
     BesselOrder,
-    EvalAccuracy,
     bessel_j,
     bessel_j_deriv,
     bessel_y,

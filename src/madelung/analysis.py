@@ -37,7 +37,7 @@ from .core import (
     _w_bundle,
     quantum_potential_eq9_masked,
 )
-from .errors import DomainError, RangeTooNarrow, ToleranceNotMet, UnmatchedRoot
+from .errors import DomainError, RangeTooNarrow, ToleranceNotMet, UnmatchedRoot, require_finite
 from .series import SampleSeries
 
 __all__ = [
@@ -126,20 +126,41 @@ def _newton_fn(consts):
 # bracketing and refinement
 
 
-def _scan_mesh(z_lo: float, z_hi: float) -> np.ndarray:
-    # fine geometric mesh below z = 1 (at most one or two zeros live there),
-    # then pi/4 steps: zeros are simple and asymptotically pi-spaced
-    parts = []
+def _scan_mesh(z_lo: float, z_hi: float):
+    """The scan mesh, as its size and a function take(i, j) of its points i to j - 1.
+
+    A fine geometric mesh below z = 1 (at most one or two zeros live there),
+    then pi/4 steps (zeros are simple and asymptotically pi-spaced), then
+    z_hi.  The steps, np.arange(start, z_hi, pi/4) by numpy's fill rule
+    start + i ((start + pi/4) - start), are made only where take asks, so a
+    capped scan never builds the whole mesh.  Raises DomainError where pi/4
+    is below the float spacing at z_hi.
+    """
+    step = math.pi / 4.0
+    if not np.spacing(z_hi) <= step:
+        raise DomainError(f"z = {z_hi:.6g} is too large to scan in float steps of pi/4")
     lo = max(z_lo, 1e-8)
-    if lo < 1.0:
-        parts.append(np.geomspace(lo, min(1.0, z_hi), 48))
     start = max(lo, 1.0)
-    if start < z_hi:
-        parts.append(np.arange(start, z_hi, math.pi / 4.0))
-    parts.append(np.array([z_hi]))
-    # sorted, without repeats (np.unique's first call imports numpy.ma)
-    mesh = np.sort(np.concatenate(parts))
-    return mesh[np.concatenate(([True], mesh[1:] != mesh[:-1]))]
+    delta = (start + step) - start
+    n = math.ceil((z_hi - start) / step) if start < z_hi else 0  # np.arange's length
+
+    def steps(i, j):
+        return start + np.arange(i, j) * delta
+
+    # the geometric part, the first and last two steps (which may round up to
+    # z_hi) and z_hi, sorted, without repeats (np.unique would import
+    # numpy.ma); steps m0 to m1 - 1 lie between its points a - 1 and a
+    m0, m1 = min(n, 1), max(min(n, 1), n - 2)
+    ends = np.sort(np.concatenate([np.geomspace(lo, min(1.0, z_hi), 48) if lo < 1.0 else [],
+                                   steps(0, m0), steps(m1, n), [z_hi]]))
+    ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
+    a, mid = int(np.searchsorted(ends, start + m0 * delta)), m1 - m0
+    k = a - m0  # the mesh index of step 0
+
+    def take(i, j):
+        return np.concatenate([ends[i:min(j, a)], steps(max(i, a) - k, min(j, a + mid) - k),
+                               ends[max(i - mid, a):max(j - mid, a)]])
+    return len(ends) + mid, take
 
 
 def _refine_brackets(fn, lo, hi, sign_lo, z, width_tol):
@@ -187,16 +208,16 @@ def _bracket_zeros(fn, z_lo, z_hi, max_brackets=None):
     windows that share their boundary point, and the scan stops once that
     many are found.
     """
-    mesh = _scan_mesh(z_lo, z_hi)
-    last = len(mesh) - 1
-    los, his, signs, starts = [mesh[:0]], [mesh[:0]], [mesh[:0]], [mesh[:0]]
+    size, take = _scan_mesh(z_lo, z_hi)
+    last = size - 1
+    los, his, signs, starts = ([np.empty(0)] for _ in range(4))
     found = start = 0
     while start < last and (max_brackets is None or found < max_brackets):
         stop = last
         if max_brackets is not None:
             # four mesh steps per pi-spaced zero, plus 16 zeros to spare
             stop = min(last, start + 4 * (max_brackets - found) + 64)
-        window = mesh[start:stop + 1]
+        window = take(start, stop + 1)
         vals = fn(window)
         sign = np.sign(vals)
         change = sign[:-1] * sign[1:] < 0
@@ -407,8 +428,9 @@ def _tail_ends(zs, consts):
     w_ser = _laurent_mul(_laurent_diff(u_ser), half_s)
     v_ser = _laurent_mul(_laurent_diff(w_ser), half_s)
 
-    two_psi_cos = (consts.c2**2 - consts.c1**2) / (consts.c1**2 + consts.c2**2)
-    two_psi_sin = 2.0 * consts.c1 * consts.c2 / (consts.c1**2 + consts.c2**2)
+    c1, c2 = np.float64(consts.c1), np.float64(consts.c2)
+    two_psi_cos = (c2**2 - c1**2) / (c1**2 + c2**2)
+    two_psi_sin = 2.0 * c1 * c2 / (c1**2 + c2**2)
 
     j, y = specfun._jy(zs, [("J", 0.25, 0), ("Y", 0.25, 0)])
     m2 = j * j + y * y
@@ -432,7 +454,7 @@ def _tail_segment(a, b, ends, consts):
     bounded by 1/(2 pi a^3).
     """
     s_ser = _modulus_series()
-    amp = 0.5 * (consts.c1**2 + consts.c2**2)
+    amp = 0.5 * (np.float64(consts.c1) ** 2 + np.float64(consts.c2) ** 2)
 
     # smooth part: int (2/pi z) S dz
     smooth = (2.0 / math.pi) * math.log(b / a)
@@ -442,7 +464,7 @@ def _tail_segment(a, b, ends, consts):
 
     i_osc = ends[b] - ends[a]
     total = amp * (smooth - i_osc)
-    err = amp / (2.0 * math.pi * a**3) + 1e-14 * abs(total)
+    err = amp / (2.0 * math.pi * np.float64(a) ** 3) + 1e-14 * abs(total)
     return total, err
 
 
@@ -504,8 +526,8 @@ def integrate_density(upper_limits, params: PhysicalParams,
     last decade of H, which feed the two tail fits.
     """
     limits = [float(h) for h in upper_limits]
-    if not limits or any(h <= 0 for h in limits):
-        raise DomainError("upper limits must be positive")
+    if not limits or not all(0.0 < h < math.inf for h in limits):
+        raise DomainError("upper limits must be finite and positive")
     if any(b <= a for a, b in zip(limits, limits[1:])):
         raise DomainError("upper limits must be strictly increasing")
     hmax = limits[-1]
@@ -513,8 +535,11 @@ def integrate_density(upper_limits, params: PhysicalParams,
     checkpoints = sorted(set(limits) | set(fit_hs.tolist()))
 
     k = _k_const(params)
-    pref = math.pi**2 / (128.0 * k)
     z_cps = [k * h * h for h in checkpoints]
+    for h, z in zip(checkpoints, z_cps):
+        if not 0.0 < z < math.inf:
+            raise DomainError(f"z = m H^2/(4 hbar sqrt(d)) leaves the float range at H = {h!r}")
+    pref = math.pi**2 / (128.0 * k)
     b_lo, b_hi, sign_lo, start = _bracket_zeros(
         _c_fn(consts), 1e-8, min(z_cps[-1], _TAIL_START))
     if len(b_lo):
@@ -601,6 +626,8 @@ def figure_series(figure_id: str, params: PhysicalParams,
         g = grid or GridSpec(0.05, 12.0, 600)
         etas = g.points()
         f = _simplified_shape_density_arr(etas, params, consts)
-        q, _ = quantum_potential_eq9_masked(etas, params, consts)
+        q, excluded = quantum_potential_eq9_masked(etas, params, consts)
+        require_finite("f", f, eta=etas)
+        require_finite("Q", np.where(excluded, 0.0, q), eta=etas)
         return SampleSeries.from_columns([("eta", etas), ("f", f), ("Q", q)])
     raise DomainError(f"unknown figure id {figure_id!r}")

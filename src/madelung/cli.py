@@ -377,8 +377,10 @@ def _qpotential_table(cfg) -> CsvTable:
     for i, eta in enumerate(etas):
         try:
             q9 = core.quantum_potential_eq9(float(eta), cfg.params, cfg.consts)
+            require_finite("q_eq9", q9, eta=eta)
             qd = verify.quantum_potential_direct(float(eta), cfg.params, cfg.consts,
                                                  fd_step=cfg.fd_step)
+            require_finite("q_direct", qd, eta=eta)
         except (SingularityError, DomainError):
             continue
         q9s[i], qds[i] = q9, qd
@@ -465,7 +467,10 @@ def cmd_integrate(cfg: RunConfig, args) -> int:
     limits = [float(v) for v in args.limits.split(",")]
     result = analysis.integrate_density(limits, cfg.params, cfg.consts,
                                         tol=cfg.tol)
-    emit(CsvTable(["H", "F", "err"], list(zip(*result.partial_integrals))), cfg)
+    hs, fs, errs = zip(*result.partial_integrals)
+    require_finite("F", fs, H=hs)
+    require_finite("err", errs, H=hs)
+    emit(CsvTable(["H", "F", "err"], [hs, fs, errs]), cfg)
     tm = result.tail_model
     print(f"tail fit (log):  F ~ a + b ln H with a={tm.log_offset:.9g} "
           f"b={tm.log_coefficient:.9g} rms={tm.log_rms:.3e}")

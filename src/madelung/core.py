@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _SHAPE_AMPLITUDE = math.pi * math.pi / 64.0
+# eq. 9 excludes the points closer than this to one of its poles
+_Q9_EXCLUSION = 1e-9
 
 # lab-frame fields evaluated by lab_field
 LAB_FIELDS = ("rho", "u", "v", "S", "psi_re", "psi_im")
@@ -185,6 +187,11 @@ def _mass_scale(params: PhysicalParams) -> float:
 def _k_const(params: PhysicalParams) -> float:
     # k of z = k eta^2; _z_arg keeps its own operation order
     return params.m / (4.0 * params.hbar * math.sqrt(params.dimension))
+
+
+def _q_prefactor(params: PhysicalParams):
+    # hbar^2/(2 m^2) in numpy floats: 0 or inf, not an error, beyond the float range
+    return np.float64(params.hbar) ** 2 / (2.0 * np.float64(params.m) ** 2)
 
 
 def _z_arg(eta, params: PhysicalParams):
@@ -477,15 +484,13 @@ def _q9_block(eta, params, consts):
     # bracket denominator D(z) = c1 J_{1/4} - c2 Y_{1/4} = -w and the
     # analytic eta-derivative of -eta^2 M^2 / (8 D)
     z = _z_arg(eta, params)
-    try:
-        pref = params.hbar**2 / (2.0 * params.m**2)
-    except OverflowError:
-        # m or hbar beyond ~1e154: Q cannot be formed, so it is NaN with no
-        # point excluded, and the caller reports non-finite Q
+    pref, mm = _q_prefactor(params), _mass_scale(params)
+    if not (0.0 < pref < math.inf and math.isfinite(mm * mm)):
+        # hbar^2/(2 m^2) or M^2 outside the float range: Q cannot be formed, so
+        # it is NaN with no point excluded, and the caller reports non-finite Q
         return np.full_like(z, np.nan), np.full_like(z, np.inf)
     w, w1 = _w_bundle(z, consts, upto=1)
     d, dprime = -w, -w1
-    mm = _mass_scale(params)
     q = -pref * mm * mm * eta / 4.0 * (1.0 - z * dprime / d) / d
     # the poles of Q are the zeros of D, and so of w
     return q, _newton_distance(eta, z, w, w1)[0]
@@ -495,31 +500,29 @@ def _q9_terms(eta, params, consts):
     return _blockwise(_q9_block, (eta,), params, consts)
 
 
-def quantum_potential_eq9(eta, params: PhysicalParams, consts: SolutionConstants,
-                          exclusion_radius: float = 1e-9):
+def quantum_potential_eq9(eta, params: PhysicalParams, consts: SolutionConstants):
     """Quantum potential shape from the printed closed form.
 
     Q(eta) = (hbar^2 / 2 m^2) d/deta [ -eta^2 M^2 / (8 (c1 J_{1/4}(z)
     - c2 Y_{1/4}(z))) ], with the derivative taken analytically through
     the Bessel recurrences.  Diverges where the bracket denominator
     vanishes, i.e. exactly at the zeros of the density shape function;
-    points closer than exclusion_radius raise SingularityError.
+    points closer than _Q9_EXCLUSION raise SingularityError.
     """
     scalar = np.isscalar(eta) or getattr(eta, "ndim", 1) == 0
     arr = np.atleast_1d(_check_eta(eta))
     q, dist = _q9_terms(arr, params, consts)
-    if np.any(dist < exclusion_radius):
-        bad = float(arr[dist < exclusion_radius][0])
+    if np.any(dist < _Q9_EXCLUSION):
+        bad = float(arr[dist < _Q9_EXCLUSION][0])
         raise SingularityError(
-            f"eta = {bad!r} lies within {exclusion_radius} of a quantum-potential pole")
+            f"eta = {bad!r} lies within {_Q9_EXCLUSION} of a quantum-potential pole")
     return float(q[0]) if scalar else q
 
 
-def quantum_potential_eq9_masked(eta, params: PhysicalParams, consts: SolutionConstants,
-                                 exclusion_radius: float = 1e-9):
+def quantum_potential_eq9_masked(eta, params: PhysicalParams, consts: SolutionConstants):
     """Array variant that NaN-masks excluded points instead of raising."""
     arr = np.atleast_1d(_check_eta(eta))
     q, dist = _q9_terms(arr, params, consts)
-    excluded = dist < exclusion_radius
+    excluded = dist < _Q9_EXCLUSION
     q = np.where(excluded, np.nan, q)
     return q, excluded

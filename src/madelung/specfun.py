@@ -11,7 +11,7 @@ Three evaluation regimes are used for the Bessel functions:
 * a normalized downward recurrence for moderate arguments, where the
   alternating series loses too many digits to cancellation,
 * Hankel's large-argument expansion, truncated at its smallest term,
-  above ``series_switchover``.
+  above ``_SWITCHOVER``.
 
 One private evaluator, ``_jy``, serves every caller: it splits a z array
 into the regimes once, and one pass of each regime's kernel serves every
@@ -36,8 +36,6 @@ from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "BesselOrder",
-    "EvalAccuracy",
-    "DEFAULT_ACCURACY",
     "gamma",
     "bessel_j",
     "bessel_y",
@@ -52,8 +50,14 @@ __all__ = [
 # three derivatives at the twelve quarter orders err by at most 1.9e-13
 # relative to the envelope sqrt(J^2 + Y^2), for Y_{3/4} just below z = 8.
 # A switch at 12 reached 9.9e-12 (Y_{-3/4} at z = 12), above the 1e-12
-# default target.
+# target.
 _SERIES_MAX = 8.0
+
+# the relative error every regime aims for, the argument above which
+# Hankel's expansion serves, and the series' term budget
+_TARGET_REL_ERROR = 1e-12
+_SWITCHOVER = 20.0
+_MAX_SERIES_TERMS = 200
 
 _TINY = 1e-300
 
@@ -107,25 +111,6 @@ class BesselOrder:
         """Order nu + n reached by the +-1 recurrence."""
         return BesselOrder(self.numerator + 4 * n)
 
-
-@dataclass(frozen=True)
-class EvalAccuracy:
-    """Accuracy knobs for the special-function evaluators."""
-
-    target_rel_error: float = 1e-12
-    series_switchover: float = 20.0
-    max_series_terms: int = 200
-
-    def __post_init__(self):
-        if not self.target_rel_error > 0:
-            raise DomainError("target_rel_error must be positive")
-        if not self.series_switchover > 0:
-            raise DomainError("series_switchover must be positive")
-        if self.max_series_terms < 10:
-            raise DomainError("max_series_terms must be at least 10")
-
-
-DEFAULT_ACCURACY = EvalAccuracy()
 
 # Lanczos approximation, g = 7, 9 coefficients: ~1e-13 relative accuracy
 # in double precision over the whole right half plane.
@@ -187,27 +172,28 @@ def _column(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _j_series(orders, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
+def _j_series(orders, z: np.ndarray) -> np.ndarray:
     """Ascending series for J_nu, one row per nu in orders, for z <= _SERIES_MAX.
 
     Each element stops at its own first term k >= 1 with |term| <= 1e-2
-    target (scale + tiny), scale its largest partial sum so far, and its
-    value is the partial sum through that term; its later terms are zeroed.
+    _TARGET_REL_ERROR (scale + tiny), scale its largest partial sum so far,
+    and its value is the partial sum through that term; its later terms are
+    zeroed.
     Once at least half of the running points have stopped in every order,
     they are written out and dropped (never below _COMPACT_MIN points).
     """
-    ks = np.arange(1, acc.max_series_terms + 1)[:, None, None]
+    ks = np.arange(1, _MAX_SERIES_TERMS + 1)[:, None, None]
     denom = ks * (_column(orders) + ks)  # k (nu + k) for each k, as a column
     half = 0.5 * z
     term = np.array([half**v / _gamma(v + 1.0) for v in orders])
     total, scale = term.copy(), np.abs(term)
     q = -(half * half)
     out = idx = None  # idx: the running points' positions in out, once compacted
-    for k in range(1, acc.max_series_terms + 1):
+    for k in range(1, _MAX_SERIES_TERMS + 1):
         term = term * q / denom[k - 1]
         total += term
         np.maximum(scale, np.abs(total), out=scale)
-        done = np.abs(term) <= 1e-2 * acc.target_rel_error * (scale + _TINY)
+        done = np.abs(term) <= 1e-2 * _TARGET_REL_ERROR * (scale + _TINY)
         stopped = np.count_nonzero(done)
         if stopped == done.size:
             if idx is None:
@@ -227,7 +213,7 @@ def _j_series(orders, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
                 idx, q = idx.take(run), q.take(run)
                 term, total, scale = (a.take(run, axis=1) for a in (term, total, scale))
     nu = min(nu for nu, ok in zip(orders, done.all(axis=1)) if not ok)
-    raise ConvergenceError(f"ascending series for J_{nu} stalled after {acc.max_series_terms} terms")
+    raise ConvergenceError(f"ascending series for J_{nu} stalled after {_MAX_SERIES_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +224,6 @@ def _j_series(orders, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
 # The downward recurrence is stable and is normalized with
 #     (z/2)^mu = sum_k (mu + 2k) Gamma(mu + k) / k! * J_{mu+2k}(z),
 # which holds for non-integer mu and sidesteps the cancellation entirely.
-
-
-def _abs_max(a: np.ndarray) -> float:
-    # exact max |a|, taken by the recurrence every 8th step
-    return float(np.max(np.abs(a)))
 
 
 # the downward recurrence's value at each point's start index
@@ -256,15 +237,15 @@ def _miller_start(z: np.ndarray) -> np.ndarray:
     return n
 
 
-def _j_recurrence(orders, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
-    """J_nu, one row per nu in orders, for _SERIES_MAX < z <= switchover.
+def _j_recurrence(orders, z: np.ndarray) -> np.ndarray:
+    """J_nu, one row per nu in orders, for _SERIES_MAX < z <= _SWITCHOVER.
 
     Each ladder mu + n (mu = nu - floor(nu), 1/4 or 3/4) is a row of one
     downward recurrence, which gives every shift n >= 0; negative shifts
     extend below mu after normalization.  Each point starts at its own
-    Miller index with y = _MILLER_SEED (y = 0 before it), and every 8th step
-    rescales each element with |y| > 1e250 by 1e-250, so a value depends on
-    its own z alone (from the 1e-30 seed, |y| < 1e205 up to z = 1e5).
+    Miller index with y = _MILLER_SEED (y = 0 before it), so a value depends
+    on its own z alone; |y| stays below 3e18 for z <= _SWITCHOVER (measured
+    on 5000 points in (8, 20]), so it never needs rescaling.
     """
     shifts = [math.floor(nu) for nu in orders]
     mus = sorted({nu - n for nu, n in zip(orders, shifts)})
@@ -284,8 +265,6 @@ def _j_recurrence(orders, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
     inv_z2 = 2.0 / z
     y_up = np.zeros((len(mus), len(z)))
     y = y_up + np.where(starts == nstart, _MILLER_SEED, 0.0)
-    # one step grows max(|y|, |y_up|) at most by 2 |mu + j + 1| / z + 1, under
-    # 17 for z > 8, so the 8 steps between checks grow it by under 1e10
     norm = weight[nstart] * y
     saved = {}
     # always recurse down to j = 0: the normalization sum needs every even
@@ -299,10 +278,6 @@ def _j_recurrence(orders, z: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
             y[:, seeds[j]] = _MILLER_SEED
         if j % 2 == 0:
             norm += weight[j] * y
-        if j % 8 == 0 and _abs_max(y) > 1e250:
-            scale = np.where(np.abs(y) > 1e250, 1e-250, 1.0)
-            y, y_up, norm = y * scale, y_up * scale, norm * scale
-            saved = {key: val * scale for key, val in saved.items()}
         if j in keep:
             saved[j] = y
     factor = np.array([(0.5 * z) ** m for m in mus]) / norm
@@ -321,7 +296,7 @@ def _below_ulp(term, p, q) -> bool:
     return bool((np.abs(term) <= np.spacing(np.minimum(np.abs(p), np.abs(q))) / 8.0).all())
 
 
-def _jy_asymptotic(orders, z: np.ndarray, acc: EvalAccuracy):
+def _jy_asymptotic(orders, z: np.ndarray):
     """(J_nu, Y_nu), one row per nu in orders, from the large-argument expansion.
 
     Each element adds terms until they stop decreasing (superasymptotic
@@ -334,7 +309,7 @@ def _jy_asymptotic(orders, z: np.ndarray, acc: EvalAccuracy):
     p = np.ones((len(orders), len(z)))
     q, term, prev_mag = np.zeros_like(p), np.ones_like(p), np.full_like(p, np.inf)
     bad = np.zeros(p.shape, dtype=bool)  # stopped at a term above the target
-    limit = 10.0 * acc.target_rel_error
+    limit = 10.0 * _TARGET_REL_ERROR
     last = (int(np.argmax(mu4)), int(np.argmin(z)))  # as a rule, the last to settle
     for k in range(1, 40):
         term = term * (mu4 - (2 * k - 1) ** 2) / (k * 8.0 * z)
@@ -381,16 +356,16 @@ def _orders(nu: float, k: int):
     return [nu - k + 2 * i for i in range(k + 1)]
 
 
-def _in_chunks(kernel, orders, z: np.ndarray, acc: EvalAccuracy, rows: int):
-    # kernel(orders, z, acc) on parts of at most _CHUNK // rows points, joined; if a part
+def _in_chunks(kernel, orders, z: np.ndarray, rows: int):
+    # kernel(orders, z) on parts of at most _CHUNK // rows points, joined; if a part
     # fails to converge, one pass over all of z raises the error an unchunked pass would
     size = max(1, _CHUNK // rows)
     if len(z) <= size:
-        return kernel(orders, z, acc)
+        return kernel(orders, z)
     try:
-        parts = [kernel(orders, z[i:i + size], acc) for i in range(0, len(z), size)]
+        parts = [kernel(orders, z[i:i + size]) for i in range(0, len(z), size)]
     except ConvergenceError:
-        return kernel(orders, z, acc)
+        return kernel(orders, z)
     return np.concatenate(parts, axis=-1)
 
 
@@ -402,16 +377,14 @@ def _positions(mask: np.ndarray):
     return idx
 
 
-def _jy(z: np.ndarray, wanted, acc: EvalAccuracy = DEFAULT_ACCURACY) -> list:
+def _jy(z: np.ndarray, wanted) -> list:
     """J_nu, Y_nu and their derivatives on one z array, sharing the work.
 
     wanted holds (kind, nu, k) triples: the k-th derivative (k = 0 for the
     value, else 1, 2 or 3) of J_nu for kind "J" or of Y_nu for kind "Y";
     one array per triple is returned, shaped like z.  One kernel pass per
     regime (_in_chunks) serves every order.  Y comes from J_{+-nu} by the
-    connection formula below the switchover and from Hankel's expansion above.
-    acc defaults to DEFAULT_ACCURACY, at which core, verify and analysis
-    evaluate every field.
+    connection formula below _SWITCHOVER and from Hankel's expansion above.
     """
     kept = sorted({order for _, nu, k in wanted for order in _orders(nu, k)})
     y_orders = sorted({order for kind, nu, k in wanted if kind == "Y" for order in _orders(nu, k)})
@@ -419,15 +392,14 @@ def _jy(z: np.ndarray, wanted, acc: EvalAccuracy = DEFAULT_ACCURACY) -> list:
     conv_orders = kept + sorted({-nu for nu in y_orders} - set(kept))
     row = {nu: i for i, nu in enumerate(conv_orders)}
     shape, z = z.shape, z.ravel()
-    cut = min(_SERIES_MAX, acc.series_switchover)
     lo, mid, hi = (_positions(m) for m in (
-        z <= cut, (z > cut) & (z <= acc.series_switchover), z > acc.series_switchover))
+        z <= _SERIES_MAX, (z > _SERIES_MAX) & (z <= _SWITCHOVER), z > _SWITCHOVER))
     jv = np.zeros((len(conv_orders), len(z)))
     zl, zm, zh = z[lo], z[mid], z[hi]
     if zl.size:
-        jv[:, lo] = _in_chunks(_j_series, conv_orders, zl, acc, len(conv_orders))
+        jv[:, lo] = _in_chunks(_j_series, conv_orders, zl, len(conv_orders))
     if zm.size:  # at most two ladders
-        jv[:, mid] = _in_chunks(_j_recurrence, conv_orders, zm, acc, 2)
+        jv[:, mid] = _in_chunks(_j_recurrence, conv_orders, zm, 2)
     # Y by the connection formula (the quarter orders are never integers, so
     # sin(pi nu) is bounded away from zero); above the switchover the Hankel
     # expansion overwrites it
@@ -435,7 +407,7 @@ def _jy(z: np.ndarray, wanted, acc: EvalAccuracy = DEFAULT_ACCURACY) -> list:
     sinv = _column([_sinpi(round(4.0 * nu) / 4.0) for nu in y_orders])
     yv = (jv[[row[nu] for nu in y_orders]] * cosv - jv[[row[-nu] for nu in y_orders]]) / sinv
     if zh.size:
-        jh, yh = _in_chunks(_jy_asymptotic, kept, zh, acc, len(kept))
+        jh, yh = _in_chunks(_jy_asymptotic, kept, zh, len(kept))
         jv[:len(kept), hi] = jh
         yv[:, hi] = yh[[kept.index(nu) for nu in y_orders]]
     values = {("J", nu): jv[row[nu]] for nu in kept}
@@ -459,14 +431,14 @@ def _check_z(z) -> np.ndarray:
     return arr
 
 
-def _evaluate(z, wanted, acc: EvalAccuracy, combine=lambda vals: vals[0]):
+def _evaluate(z, wanted, combine=lambda vals: vals[0]):
     # combine(the _jy values) on the checked z; a float for a scalar z
     scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    out = combine(_jy(np.atleast_1d(_check_z(z)), wanted, acc))
+    out = combine(_jy(np.atleast_1d(_check_z(z)), wanted))
     return float(out[0]) if scalar else out
 
 
-def bessel_j(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
+def bessel_j(nu: BesselOrder, z):
     """Bessel function of the first kind at a quarter order.
 
     Parameters
@@ -475,43 +447,41 @@ def bessel_j(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
         Order, an odd multiple of 1/4 with |nu| <= 11/4.
     z : float or ndarray
         Argument(s), all > 0.
-    acc : EvalAccuracy
-        Accuracy/regime configuration.
     """
-    return _evaluate(z, [("J", nu.value, 0)], acc)
+    return _evaluate(z, [("J", nu.value, 0)])
 
 
-def bessel_y(nu: BesselOrder, z, acc: EvalAccuracy = DEFAULT_ACCURACY):
+def bessel_y(nu: BesselOrder, z):
     """Bessel function of the second kind at a quarter order.
 
     Computed from J_{+-nu} through the connection formula in the
     convergent regime and from the asymptotic expansion beyond the
     switchover.
     """
-    return _evaluate(z, [("Y", nu.value, 0)], acc)
+    return _evaluate(z, [("Y", nu.value, 0)])
 
 
-def _deriv(kind: str, nu: BesselOrder, z, k: int, acc: EvalAccuracy):
+def _deriv(kind: str, nu: BesselOrder, z, k: int):
     if k not in (1, 2, 3):
         raise DomainError("derivative order must be 1, 2 or 3")
-    return _evaluate(z, [(kind, nu.value, k)], acc)
+    return _evaluate(z, [(kind, nu.value, k)])
 
 
-def bessel_j_deriv(nu: BesselOrder, z, k: int, acc: EvalAccuracy = DEFAULT_ACCURACY):
+def bessel_j_deriv(nu: BesselOrder, z, k: int):
     """k-th derivative of J_nu (k = 1, 2, 3) via the order recurrence."""
-    return _deriv("J", nu, z, k, acc)
+    return _deriv("J", nu, z, k)
 
 
-def bessel_y_deriv(nu: BesselOrder, z, k: int, acc: EvalAccuracy = DEFAULT_ACCURACY):
+def bessel_y_deriv(nu: BesselOrder, z, k: int):
     """k-th derivative of Y_nu (k = 1, 2, 3) via the order recurrence."""
-    return _deriv("Y", nu, z, k, acc)
+    return _deriv("Y", nu, z, k)
 
 
-def cross_product(z, acc: EvalAccuracy = DEFAULT_ACCURACY):
+def cross_product(z):
     """J_{-3/4}(z) Y_{1/4}(z) - J_{1/4}(z) Y_{-3/4}(z).
 
     Analytically equal to -2/(pi z); evaluated here from the four
     functions so the identity remains an independent check.
     """
     return _evaluate(z, [("J", -0.75, 0), ("J", 0.25, 0), ("Y", -0.75, 0), ("Y", 0.25, 0)],
-                     acc, lambda v: v[0] * v[3] - v[1] * v[2])
+                     lambda v: v[0] * v[3] - v[1] * v[2])

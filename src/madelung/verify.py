@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .core import (
     SolutionConstants,
     _k_const,
     _lab_arrays,
-    _psi_eq8,
+    _q_prefactor,
     _simplified_shape_density_arr,
     _w_bundle,
     _z_arg,
@@ -35,7 +36,8 @@ from .core import (
     shape_velocity_split,
     shape_velocity_sum,
 )
-from .errors import DomainError, SingularityError, StepTooLarge, StiffnessError, ZeroCrossing
+from .errors import (DomainError, SingularityError, StepTooLarge, StiffnessError, ZeroCrossing,
+                     require_finite)
 from .series import SampleSeries
 
 __all__ = [
@@ -152,8 +154,10 @@ def residual_ode5(grid: GridSpec, params: PhysicalParams,
     f, f1, f2 = shape_derivatives(etas, params, consts, upto=2)
     t_curv = 2.0 * f2 * f
     t_grad = f1 * f1
-    t_mass = params.m**2 * etas**2 * f * f / (params.dimension * params.hbar**2)
+    t_mass = (np.float64(params.m) ** 2 * etas**2 * f * f
+              / (params.dimension * np.float64(params.hbar) ** 2))
     res = t_curv - t_grad + t_mass
+    require_finite("ode5 residual", res, eta=etas)
     scale = np.maximum(np.abs(t_curv), np.maximum(t_grad, np.abs(t_mass)))
     rel = np.abs(res) / np.maximum(scale, 1e-300)
     pts = SampleSeries.from_columns(
@@ -183,7 +187,7 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
         [np.abs(0.5 * f), np.abs(0.5 * f1 * etas), np.abs(f1 * gh_sum), np.abs(f * 0.5)])
     cont_rel = np.abs(cont) / np.maximum(cont_scale, 1e-300)
 
-    pref = params.hbar**2 / (2.0 * params.m**2)
+    pref = _q_prefactor(params)
     r1 = pref * f1**3 / (2.0 * f**3)
     r2 = -pref * f1 * f2 / (f * f)
     r3 = pref * f3 / (2.0 * f)
@@ -198,6 +202,7 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
 
     dist, _ = _zero_distance(etas, params, consts)
     excluded = dist < _ODE_EXCLUSION
+    require_finite("ode_system4 residual", [cont, np.where(excluded, 0.0, mom_g)], eta=etas)
     mom_rel_m = np.where(excluded, np.nan, mom_rel)
     mom_g = np.where(excluded, np.nan, mom_g)
     mom_h = np.where(excluded, np.nan, mom_h)
@@ -279,8 +284,7 @@ def _continuity_euler(x, y, t, params, consts, h, hq):
                + (sq(xx, y + hq, t) - 2 * ctr + sq(xx, y - hq, t))) / (hq * hq)
         return lap / ctr
 
-    qpref = params.hbar**2 / (2.0 * params.m**2)
-    q_x = qpref * (g_of(x + h) - g_of(x - h)) / (2 * h)
+    q_x = _q_prefactor(params) * (g_of(x + h) - g_of(x - h)) / (2 * h)
 
     [u] = _lab_fields(("u",), x, y, t, params, consts)
     adv_x = u * u_x
@@ -294,6 +298,7 @@ def _continuity_euler(x, y, t, params, consts, h, hq):
 def _masked_report(equation_id, coords, res, scale, excluded, extras=None,
                    res_name="residual"):
     x, y, t = coords
+    require_finite(f"{equation_id} residual", np.where(excluded, 0.0, res), x=x, y=y, t=t)
     rel = np.abs(res) / np.maximum(scale, 1e-300)
     res_m = np.where(excluded, np.nan, res)
     rel_m = np.where(excluded, np.nan, rel)
@@ -364,13 +369,11 @@ def _schrodinger_residual(x, y, t, params, h, psi):
 def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
                          params: PhysicalParams, consts: SolutionConstants,
                          fd_step: float = 1e-4,
-                         use_eq8: bool = False,
                          *, psi=None) -> ResidualReport:
     """Finite-difference residual of the free Schrodinger equation.
 
     Evaluates laplacian(psi) - i (2m/hbar) d(psi)/dt for the canonical
-    wave function (or the literally transcribed one when use_eq8 is set)
-    and scales per point by |laplacian| + (2m/hbar)|d psi/dt|.
+    wave function and scales per point by |laplacian| + (2m/hbar)|d psi/dt|.
 
     This is the printed, time-reversed form of the equation (the standard
     one is i hbar psi_t = -(hbar^2/2m) laplacian(psi)), so it is solved by
@@ -380,23 +383,16 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
     psi, when given, replaces the paper's wave function by a vectorized
     callable (x, y, t) -> complex array, e.g. an exact solution serving as
     a positive control; the exclusion mask stays the one of params and
-    consts.  It cannot be combined with use_eq8.
+    consts.  The literally transcribed eq. 8 wave function is one such psi:
+    (x, y, t) -> core._psi_eq8(x, y, t, params, consts).
 
     Richardson ratio: on the 21x7 acceptance grid an exact solution gives
     4 (second-order truncation) at fd_step 1e-3, but at fd_step <~ 1e-4
     the second differences are dominated by rounding, and the ratio then
     measures rounding, not truncation.
     """
-    if psi is None:
-        kernel = _psi_eq8 if use_eq8 else _psi_canonical
-
-        def psi(xx, yy, tt_):
-            return kernel(xx, yy, tt_, params, consts)
-        wavefunction = "eq8" if use_eq8 else "canonical"
-    elif use_eq8:
-        raise DomainError("psi and use_eq8 are mutually exclusive")
-    else:
-        wavefunction = "custom"
+    wavefunction = "canonical" if psi is None else "custom"
+    psi = psi or partial(_psi_canonical, params=params, consts=consts)
     x, y, t = _stencil_mesh(space_grid, time_grid, fd_step, fd_step)
     res, scale = _schrodinger_residual(x, y, t, params, fd_step, psi)
     excl = _lab_exclusion(x, y, t, params, consts)
@@ -559,4 +555,4 @@ def quantum_potential_direct(eta: float, params: PhysicalParams,
     root_f = np.sqrt(_simplified_shape_density_arr(pts, params, consts))
     w_minus = (root_f[0] - 2 * root_f[1] + root_f[2]) / (h2 * h2) / root_f[1]
     w_plus = (root_f[3] - 2 * root_f[4] + root_f[5]) / (h2 * h2) / root_f[4]
-    return params.hbar**2 / (2.0 * params.m**2) * (w_plus - w_minus) / (2 * h1)
+    return _q_prefactor(params) * (w_plus - w_minus) / (2 * h1)

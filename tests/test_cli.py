@@ -659,6 +659,27 @@ class TestZerosCommand:
         code, out, err = run_cli(capsys, ["zeros", "--range", "0.1:0.2", "--max-roots", "0"])
         assert (code, out, err) == (0, "index,eta_star,q_pole_eta,separation\n", "")
 
+    def test_capped_scan_of_a_huge_range_builds_only_its_windows(self, capsys):
+        # eta up to 1e5 is z up to 1.8e9, a 2.3e9-point mesh if built whole;
+        # three roots need only the first window of it
+        argv = ["zeros", "--max-roots", "3", "--range"]
+        expected = run_cli(capsys, argv + ["0.1:30"])  # also imports what zeros needs
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, argv + ["0.1:1e5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == expected
+        assert len(out.strip().split("\n")) == 4
+        assert peak < 1_000_000
+
+    def test_scan_step_below_float_spacing_exit_2(self, capsys):
+        # z = 1.8e17 has a float spacing of 32, far above the pi/4 scan step
+        code, out, err = run_cli(capsys, ["zeros", "--range", "0.1:1e9", "--max-roots", "1"])
+        assert (code, out) == (2, "")
+        assert "too large to scan" in err
+
 
 class TestIntegrateCommand:
     def test_contract(self, capsys):
@@ -673,6 +694,27 @@ class TestIntegrateCommand:
         assert "tail fit (log):" in out
         assert "tail fit (1/H):" in out
         assert "verdict:" in out
+
+    @pytest.mark.parametrize("limits,why", [
+        ("inf", "must be finite and positive"),
+        ("nan", "must be finite and positive"),
+        ("10,inf", "must be finite and positive"),
+        ("1e200", "leaves the float range at H = 9.999999999999999e+198"),
+    ])
+    def test_nonfinite_or_overflowing_limit_exit_2(self, capsys, limits, why):
+        # H = 1e200 is finite, but z = k H^2 is not
+        code, out, err = run_cli(capsys, ["integrate", "--limits", limits])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and why in err and err.count("\n") == 1
+
+    def test_huge_limit_integrates_in_closed_form(self, capsys):
+        # z = k H^2 = 1.8e159: the tail's remainder bound 1/(2 pi a^3) is 0
+        code, out, err = run_cli(capsys, ["integrate", "--limits", "1e80"])
+        assert (code, err) == (0, "")
+        h, f, e = (float(v) for v in out.split("\n")[1].split(","))
+        assert h == 1e80 and math.isfinite(f) and math.isfinite(e)
+        # F grows like b ln H, with b = pi sqrt(2) (c1^2 + c2^2) hbar / (16 m)
+        assert f == pytest.approx(1.0 + math.pi * math.sqrt(2.0) / 8.0 * math.log(1e80), rel=0.02)
 
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -900,6 +942,29 @@ class TestInputContract:
         assert code == 3
         assert out == ""
         assert err == line
+
+    @pytest.mark.parametrize("argv,line", [
+        (["integrate", "--m", "1e200"], None),
+        (["verify", "--which", "all", "--m", "1e200"],
+         "error: ode5 residual is not finite at eta = 0.1\n"),
+        (["verify", "--which", "ode5", "--hbar", "1e-200"],
+         "error: ode5 residual is not finite at eta = 0.1\n"),
+        (["verify", "--which", "qpotential", "--m", "1e200"],
+         "error: q_eq9 is not finite at eta = 0.4\n"),
+        (["figure", "fig3", "--m", "1e200"], "error: Q is not finite at eta = 0.05\n"),
+        (["figure", "fig3", "--hbar", "1e-200"], "error: Q is not finite at eta = 0.05\n"),
+        (["eval", "--field", "Q", "--m", "1e-200"], "error: Q is not finite at eta = 0.1\n"),
+    ], ids=["integrate", "verify", "verify-hbar", "qpotential", "figure", "figure-hbar", "eval"])
+    def test_huge_or_tiny_mass_and_hbar(self, capsys, argv, line):
+        # a value that cannot be formed is non-finite: exit 3 with one error
+        # line, never a traceback or blank cells; a finite run writes no blank
+        code, out, err = run_cli(capsys, argv)
+        if line is not None:
+            assert (code, out, err) == (3, "", line)
+            return
+        assert (code, err) == (0, "")
+        rows = [r.split(",") for r in out.strip().split("\n")[1:] if r[:1].isdigit()]
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     @pytest.mark.parametrize("field", ["f", "Q"])
     def test_eta_underflowing_z_exit_2(self, capsys, field):

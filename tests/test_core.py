@@ -308,10 +308,6 @@ class TestQuantumPotentialEq9:
     def test_exclusion_radius(self, params, consts):
         with pytest.raises(SingularityError):
             quantum_potential_eq9(ref.ROOT_ETAS[0], params, consts)
-        # configurable radius
-        with pytest.raises(SingularityError):
-            quantum_potential_eq9(ref.ROOT_ETAS[0] + 1e-5, params, consts,
-                                  exclusion_radius=1e-4)
 
     def test_rejects_nonpositive_eta(self, params, consts):
         with pytest.raises(DomainError):

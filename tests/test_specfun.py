@@ -1,18 +1,19 @@
 import hashlib
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import madelung
 from madelung import analysis, cli, core, specfun, verify
 from madelung.errors import ConvergenceError, DomainError, PoleError
 from madelung.specfun import (
-    DEFAULT_ACCURACY,
     BesselOrder,
-    EvalAccuracy,
     bessel_j,
     bessel_j_deriv,
     bessel_y,
@@ -44,24 +45,16 @@ class TestBesselOrder:
 
 
 class TestEvalAccuracy:
-    def test_defaults(self):
-        acc = EvalAccuracy()
-        assert acc.target_rel_error == 1e-12
-        assert acc.series_switchover == 20.0
-        assert acc.max_series_terms == 200
+    """The accuracy is a set of specfun constants, not a record callers pass."""
 
-    @pytest.mark.parametrize("kwargs", [
-        {"target_rel_error": 0.0},
-        {"series_switchover": -1.0},
-        {"max_series_terms": 9},
-    ])
-    def test_invariants(self, kwargs):
-        with pytest.raises(DomainError):
-            EvalAccuracy(**kwargs)
+    def test_defaults(self):
+        assert specfun._TARGET_REL_ERROR == 1e-12
+        assert specfun._SWITCHOVER == 20.0
+        assert specfun._MAX_SERIES_TERMS == 200
 
     def test_only_specfun_takes_an_accuracy(self):
-        # the layers above specfun evaluate at DEFAULT_ACCURACY: none of
-        # their functions or methods, public or private, takes an acc
+        # every field is evaluated at specfun's one accuracy: no function or
+        # method of any madelung module, public or private, takes an acc
         def functions(mod):
             for _, obj in inspect.getmembers(mod):
                 if getattr(obj, "__module__", None) != mod.__name__:
@@ -72,12 +65,13 @@ class TestEvalAccuracy:
                     yield from (f for _, f in inspect.getmembers(obj, inspect.isfunction)
                                 if f.__module__ == mod.__name__)
 
-        walked = [f for mod in (core, verify, analysis) for f in functions(mod)]
-        assert len(walked) > 50
-        assert [f.__qualname__ for f in walked
+        names = [info.name for info in pkgutil.iter_modules(madelung.__path__)]
+        assert {"specfun", "core", "verify", "analysis", "cli"} <= set(names)
+        mods = [importlib.import_module(f"madelung.{name}") for name in names]
+        walked = [f for mod in mods for f in functions(mod)]
+        assert len(walked) > 150
+        assert [f"{f.__module__}.{f.__qualname__}" for f in walked
                 if "acc" in inspect.signature(f).parameters] == []
-        for fn in (bessel_j, bessel_y, bessel_j_deriv, bessel_y_deriv, cross_product):
-            assert "acc" in inspect.signature(fn).parameters, fn.__name__
 
 
 class TestGamma:
@@ -128,37 +122,36 @@ class TestBesselJ:
 
     def test_regime_overlap_window(self):
         # convergent and asymptotic evaluations must agree where either
-        # could be used; compare them by moving the switchover
+        # could be used; compare the two regime kernels on both sides of the switchover
         zs = np.linspace(15.0, 25.0, 101)
-        conv = bessel_j(P14, zs, EvalAccuracy(series_switchover=30.0))
-        asym = bessel_j(P14, zs, EvalAccuracy(series_switchover=10.0))
+        (conv,) = specfun._j_recurrence([0.25], zs)
+        (asym,), _ = specfun._jy_asymptotic([0.25], zs)
         envelope = np.sqrt(2.0 / (math.pi * zs))
         assert np.all(np.abs(conv - asym) <= 1e-9 * np.maximum(np.abs(conv), envelope))
 
     def test_asymptotic_cannot_reach_target_below_its_range(self):
-        acc = EvalAccuracy(series_switchover=5.0)
         with pytest.raises(ConvergenceError, match=r"cannot reach the target below z = 6$"):
-            bessel_j(P14, 6.0, acc)
-        # a request of four orders names the smallest z that fails
+            specfun._jy_asymptotic([0.25], np.array([6.0]))
+        # a request of the cross product's two orders names the smallest z that fails
         with pytest.raises(ConvergenceError, match=r"below z = 5\.5$"):
-            cross_product(np.array([30.0, 7.0, 5.5, 6.0, 9.0]), acc)
+            specfun._jy_asymptotic([-0.75, 0.25], np.array([30.0, 7.0, 5.5, 6.0, 9.0]))
 
     def test_asymptotic_error_names_the_smallest_z_of_a_long_array(self):
         # longer than one stacked kernel pass; the smallest z comes last
         z = np.random.default_rng(0).permutation(np.geomspace(5.2, 400.0, 20000))
         with pytest.raises(ConvergenceError, match=r"below z = 5\.1$"):
-            cross_product(np.append(z, 5.1), EvalAccuracy(series_switchover=5.0))
+            specfun._in_chunks(specfun._jy_asymptotic, [-0.75, 0.25], np.append(z, 5.1), 2)
 
-    def test_series_stall_names_the_first_order(self):
-        acc = EvalAccuracy(max_series_terms=10)
+    def test_series_stall_names_the_first_order(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_SERIES_TERMS", 10)
         with pytest.raises(ConvergenceError,
                            match=r"^ascending series for J_0\.25 stalled after 10 terms$"):
-            bessel_j(P14, 7.9, acc)
+            bessel_j(P14, 7.9)
         # Y_{1/4} needs J_{-1/4} and J_{1/4}: the lowest order is named
         with pytest.raises(ConvergenceError, match=r"for J_-0\.25 stalled"):
-            bessel_y(P14, 7.9, acc)
+            bessel_y(P14, 7.9)
         with pytest.raises(ConvergenceError, match=r"for J_-0\.75 stalled"):
-            cross_product(np.array([2.0, 7.5, 6.0, 7.9]), acc)
+            cross_product(np.array([2.0, 7.5, 6.0, 7.9]))
 
 
 class TestBesselY:
@@ -261,7 +254,7 @@ class TestCrossProduct:
 # the shared evaluator against a per-order evaluation of each point alone
 
 
-def _ref_j_series(nu, z, acc):
+def _ref_j_series(nu, z):
     # the ascending series of a one-point array, summed until its term passes
     # the stopping test
     half = 0.5 * z
@@ -269,18 +262,18 @@ def _ref_j_series(nu, z, acc):
     total = term.copy()
     scale = np.abs(term)
     q = -(half * half)
-    for k in range(1, acc.max_series_terms + 1):
+    for k in range(1, specfun._MAX_SERIES_TERMS + 1):
         term = term * q / (k * (nu + k))
         total += term
         np.maximum(scale, np.abs(total), out=scale)
-        if np.all(np.abs(term) <= 1e-2 * acc.target_rel_error * (scale + specfun._TINY)):
+        if np.all(np.abs(term) <= 1e-2 * specfun._TARGET_REL_ERROR * (scale + specfun._TINY)):
             return total
     raise AssertionError("reference series did not converge")
 
 
 def _ref_j_downward(mu, j_lo, j_hi, z):
     # the normalized downward recurrence of a one-point array from its own
-    # Miller start, rescaled on every 8th step where |y| exceeds 1e250
+    # Miller start
     zmax = float(np.max(z))
     nstart = int(zmax + 10.0 * math.sqrt(zmax) + 24.0)
     nstart += nstart % 2
@@ -300,12 +293,6 @@ def _ref_j_downward(mu, j_lo, j_hi, z):
         y = y_dn
         if j >= 0 and j % 2 == 0:
             norm += (mu + j) * coeff[j // 2] * y
-        if j % 8 == 0 and np.max(np.abs(y)) > 1e250:
-            y = y * 1e-250
-            y_up = y_up * 1e-250
-            norm = norm * 1e-250
-            for key in saved:
-                saved[key] = saved[key] * 1e-250
         if j_lo <= j <= j_hi:
             saved[j] = y
     factor = (0.5 * z) ** mu / norm
@@ -361,15 +348,15 @@ def _ref_jy_asymptotic(nu, z):
 _REF_POINTS = {}
 
 
-def _ref_j_point(nu, zi, acc):
+def _ref_j_point(nu, zi):
     # J_nu at one z by the regime that z falls in, memoized: the tests ask
     # for the same orders on the same grids many times
-    key = (nu, zi, acc, specfun._MILLER_SEED)
+    key = (nu, zi, specfun._TARGET_REL_ERROR)
     if key not in _REF_POINTS:
         z = np.array([zi])
-        if zi <= min(specfun._SERIES_MAX, acc.series_switchover):
-            val = _ref_j_series(nu, z, acc)
-        elif zi <= acc.series_switchover:
+        if zi <= specfun._SERIES_MAX:
+            val = _ref_j_series(nu, z)
+        elif zi <= specfun._SWITCHOVER:
             val = _ref_j_recurrence(nu, z)
         else:
             val = _ref_jy_asymptotic(nu, z)[0]
@@ -377,18 +364,18 @@ def _ref_j_point(nu, zi, acc):
     return _REF_POINTS[key]
 
 
-def _ref_j_array(nu, z, acc):
-    return np.array([_ref_j_point(nu, float(zi), acc) for zi in z])
+def _ref_j_array(nu, z):
+    return np.array([_ref_j_point(nu, float(zi)) for zi in z])
 
 
-def _ref_y_array(nu, z, acc):
+def _ref_y_array(nu, z):
     out = np.empty_like(z)
-    conv = z <= acc.series_switchover
+    conv = z <= specfun._SWITCHOVER
     hi = ~conv
     if np.any(conv):
         zc = z[conv]
-        jp = _ref_j_array(nu, zc, acc)
-        jm = _ref_j_array(-nu, zc, acc)
+        jp = _ref_j_array(nu, zc)
+        jm = _ref_j_array(-nu, zc)
         quarters = round(4.0 * nu)
         cosv = math.cos(math.pi * quarters / 4.0)
         sinv = specfun._sinpi(quarters / 4.0)
@@ -398,16 +385,16 @@ def _ref_y_array(nu, z, acc):
     return out
 
 
-def _ref_deriv_array(fn, nu, z, k, acc):
+def _ref_deriv_array(fn, nu, z, k):
     total = np.zeros_like(z)
     for j in range(k + 1):
-        total += (-1.0) ** j * math.comb(k, j) * fn(nu - k + 2 * j, z, acc)
+        total += (-1.0) ** j * math.comb(k, j) * fn(nu - k + 2 * j, z)
     return total / 2.0**k
 
 
-def _ref(kind, nu, z, k, acc):
+def _ref(kind, nu, z, k):
     fn = _ref_j_array if kind == "J" else _ref_y_array
-    return fn(nu, z, acc) if k == 0 else _ref_deriv_array(fn, nu, z, k, acc)
+    return fn(nu, z) if k == 0 else _ref_deriv_array(fn, nu, z, k)
 
 
 def _bits(a):
@@ -426,21 +413,22 @@ class TestSharedEvaluator:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_public_api_bit_equal_to_per_order_reference(self, quarters, k):
         nu = BesselOrder(quarters)
-        acc = DEFAULT_ACCURACY
         for kind, public in (("J", (bessel_j, bessel_j_deriv)), ("Y", (bessel_y, bessel_y_deriv))):
             got = public[0](nu, Z_CROSSING) if k == 0 else public[1](nu, Z_CROSSING, k)
-            assert _bits(got) == _bits(_ref(kind, nu.value, Z_CROSSING, k, acc)), (kind, k)
+            assert _bits(got) == _bits(_ref(kind, nu.value, Z_CROSSING, k)), (kind, k)
 
-    @pytest.mark.parametrize("acc", [DEFAULT_ACCURACY, EvalAccuracy(series_switchover=200.0)],
-                             ids=["default", "switchover200"])
-    def test_one_request_for_every_order_bit_equal(self, acc):
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["default", "shuffled"])
+    def test_one_request_for_every_order_bit_equal(self, shuffled):
         # all quarter orders and derivatives in one call share series terms,
-        # ladders and Hankel expansions; each result must be unchanged
+        # ladders and Hankel expansions; each result must be unchanged, also
+        # when each regime's points are scattered through the array
         z = np.concatenate([Z_CROSSING, np.linspace(150.0, 250.0, 9)])
+        if shuffled:
+            z = np.random.default_rng(2).permutation(z)
         wanted = [(kind, q / 4.0, k) for q in QUARTERS for k in range(4) for kind in "JY"]
-        got = specfun._jy(z, wanted, acc)
+        got = specfun._jy(z, wanted)
         for (kind, nu, k), val in zip(wanted, got):
-            assert _bits(val) == _bits(_ref(kind, nu, z, k, acc)), (kind, nu, k)
+            assert _bits(val) == _bits(_ref(kind, nu, z, k)), (kind, nu, k)
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
     @pytest.mark.parametrize("z_lo", [20.5, 1e3])
@@ -460,42 +448,19 @@ class TestSharedEvaluator:
 
         monkeypatch.setattr(specfun, "_below_ulp", spy)
         wanted = [(kind, q / 4.0, k) for q in QUARTERS for k in range(4) for kind in "JY"]
-        got = specfun._jy(z, wanted, DEFAULT_ACCURACY)
+        got = specfun._jy(z, wanted)
         for (kind, nu, k), val in zip(wanted, got):
-            assert _bits(val) == _bits(_ref(kind, nu, z, k, DEFAULT_ACCURACY)), (kind, nu, k)
+            assert _bits(val) == _bits(_ref(kind, nu, z, k)), (kind, nu, k)
         assert any(exits) == (z_lo == 1e3)
 
-    def test_hankel_early_stop_keeps_the_error_test(self):
+    def test_hankel_early_stop_keeps_the_error_test(self, monkeypatch):
         # a target below the terms at which p and q settle: the expansion
         # runs on instead of stopping early and failing the target
-        acc = EvalAccuracy(target_rel_error=1e-24)
+        monkeypatch.setattr(specfun, "_TARGET_REL_ERROR", 1e-24)
         z = np.geomspace(1e3, 1e17, 41)
         wanted = [(kind, q / 4.0, 3) for q in (-11, 11) for kind in "JY"]
-        for (kind, nu, k), val in zip(wanted, specfun._jy(z, wanted, acc)):
-            assert _bits(val) == _bits(_ref(kind, nu, z, k, acc)), (kind, nu, k)
-
-    def test_rescale_branch_runs_on_the_reference_iterations(self, monkeypatch):
-        # with the switchover at 200 the recurrence starts near n = 365; from
-        # the 1e-30 seed it would need z of about 2e5 to pass 1e250, so the
-        # seed is raised to 1e230, and the rescale path must run and still match
-        acc = EvalAccuracy(series_switchover=200.0)
-        z = np.linspace(12.5, 200.0, 61)
-        monkeypatch.setattr(specfun, "_MILLER_SEED", 1e230)
-        seen = []
-        real = specfun._abs_max
-
-        def spy(a):
-            seen.append(real(a))
-            return seen[-1]
-
-        monkeypatch.setattr(specfun, "_abs_max", spy)
-        got = specfun._jy(z, [("J", 0.25, 0), ("Y", -0.75, 0), ("J", 0.25, 3)], acc)
-        assert any(v > 1e250 for v in seen)
-        # the check runs every 8th step
-        nstart = int(200.0 + 10.0 * math.sqrt(200.0) + 24.0)
-        assert len(seen) < nstart
-        for val, (kind, nu, k) in zip(got, [("J", 0.25, 0), ("Y", -0.75, 0), ("J", 0.25, 3)]):
-            assert _bits(val) == _bits(_ref(kind, nu, z, k, acc))
+        for (kind, nu, k), val in zip(wanted, specfun._jy(z, wanted)):
+            assert _bits(val) == _bits(_ref(kind, nu, z, k)), (kind, nu, k)
 
 
 class TestKernelCallCounts:
@@ -530,7 +495,7 @@ class TestKernelCallCounts:
 
     def test_every_order_in_one_request(self, calls):
         wanted = [(kind, q / 4.0, k) for q in QUARTERS for k in range(4) for kind in "JY"]
-        specfun._jy(Z_CROSSING, wanted, DEFAULT_ACCURACY)
+        specfun._jy(Z_CROSSING, wanted)
         assert calls == self.ONE_EACH
 
 
@@ -539,7 +504,7 @@ class TestAccuracyMap:
 
     The error of each value is measured relative to the envelope
     sqrt(J^(k)^2 + Y^(k)^2) of its order and derivative, and must stay
-    within the default target_rel_error.  The oracles give J and Y of every
+    within specfun's _TARGET_REL_ERROR.  The oracles give J and Y of every
     order the derivatives combine (nu - k + 2i), and the derivatives are
     formed from them by the order-shift sum.  scipy serves z up to 1e12;
     beyond that its phase reduction fails, and mpmath serves z = 1e13 to
@@ -551,14 +516,14 @@ class TestAccuracyMap:
 
     def check(self, z, jv, yv):
         # jv and yv map each order to J and Y on z
-        got = specfun._jy(z, self.WANTED, DEFAULT_ACCURACY)
+        got = specfun._jy(z, self.WANTED)
         for (kind, nu, k), val in zip(self.WANTED, got):
             shift = [(-1) ** i * math.comb(k, i) / 2**k for i in range(k + 1)]
             dj, dy = (np.array(sum(c * values[nu - k + 2 * i] for i, c in enumerate(shift)),
                                dtype=float) for values in (jv, yv))
             err = np.abs(val - (dj if kind == "J" else dy)) / np.hypot(dj, dy)
             worst = int(np.argmax(err))
-            assert err[worst] <= DEFAULT_ACCURACY.target_rel_error, (kind, nu, k, z[worst])
+            assert err[worst] <= specfun._TARGET_REL_ERROR, (kind, nu, k, z[worst])
 
     def test_dense_across_the_regime_switches(self):
         sp = pytest.importorskip("scipy.special")

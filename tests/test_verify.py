@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from madelung import verify
+from madelung import core, verify
 from madelung.core import PhysicalParams, SolutionConstants, lab_field, simplified_shape_density
 from madelung.errors import DomainError, SingularityError, ZeroCrossing
 from madelung.verify import (
@@ -182,8 +182,12 @@ class TestResidualSchrodinger:
         assert 0.1 < rep.max_rel <= 1.0
 
     def test_eq8_comparative_run(self, params, consts):
-        rep = residual_schrodinger(SPACE, TIME, params, consts, use_eq8=True)
-        assert rep.extras["wavefunction"] == "eq8"
+        # the literally transcribed wave function, passed as a custom psi
+        def psi(x, y, t):
+            return core._psi_eq8(x, y, t, params, consts)
+
+        rep = residual_schrodinger(SPACE, TIME, params, consts, psi=psi)
+        assert rep.extras["wavefunction"] == "custom"
         assert rep.max_rel > 1e-4  # recorded, also far from solving the equation
 
     @staticmethod
@@ -220,11 +224,6 @@ class TestResidualSchrodinger:
         for name in ("x", "y", "t", "residual_abs", "rel"):
             np.testing.assert_array_equal(explicit.points.column(name),
                                           default.points.column(name))
-
-    def test_psi_with_eq8_rejected(self, params, consts):
-        with pytest.raises(DomainError):
-            residual_schrodinger(SPACE, TIME, params, consts, use_eq8=True,
-                                 psi=self._propagator(params, -1))
 
 
 class TestLabExclusionOnce:
