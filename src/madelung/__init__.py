@@ -2,13 +2,10 @@
 
 from .core import (
     LAB_FIELDS,
-    ComplexAmplitude,
     LabPoint,
     PhysicalParams,
-    SimilarityPoint,
     SolutionConstants,
     density,
-    eta_of,
     lab_field,
     phase,
     quantum_potential_eq9,

@@ -343,7 +343,9 @@ def _two_level(fn, a, b, nodes, weights):
 
 def _adaptive_panel(fn, a, b, tol, nodes, weights, depth=0):
     fine, err = _two_level(fn, np.array([a]), np.array([b]), nodes, weights)
-    if float(err[0]) <= tol:
+    # a non-finite panel stays so when halved: it is returned for the
+    # caller to report as non-finite F
+    if float(err[0]) <= tol or not math.isfinite(float(fine[0])):
         return float(fine[0]), float(err[0])
     if depth >= 40:
         raise ToleranceNotMet(f"panel [{a}, {b}] not resolved to {tol}")
@@ -574,7 +576,7 @@ def integrate_density(upper_limits, params: PhysicalParams,
     tail = _fit_tail([p[0] for p in fit_points], [p[1] for p in fit_points])
     if tail.kind == "logarithmic":
         note = (f"a + b ln H fits best (rms {tail.log_rms:.3e} vs {tail.conv_rms:.3e} "
-                f"for a - c/H): F grows like {tail.log_coefficient:.6f} ln H with no "
+                f"for a - c/H): F grows like {tail.log_coefficient:.9g} ln H with no "
                 "finite limit in sight; the data do not support a finite integral")
     elif tail.kind == "convergent":
         note = (f"a - c/H fits best (rms {tail.conv_rms:.3e} vs {tail.log_rms:.3e} "

@@ -22,7 +22,6 @@ from .errors import (
     MadelungError,
     NonFiniteOutput,
     RangeTooNarrow,
-    SingularityError,
     ToleranceNotMet,
     UnmatchedRoot,
     require_finite,
@@ -373,17 +372,14 @@ def _qpotential_table(cfg) -> CsvTable:
     from . import verify
 
     etas = np.linspace(0.4, 3.0, 14)
-    q9s, qds = np.full(len(etas), np.nan), np.full(len(etas), np.nan)
-    for i, eta in enumerate(etas):
-        try:
-            q9 = core.quantum_potential_eq9(float(eta), cfg.params, cfg.consts)
-            require_finite("q_eq9", q9, eta=eta)
-            qd = verify.quantum_potential_direct(float(eta), cfg.params, cfg.consts,
-                                                 fd_step=cfg.fd_step)
-            require_finite("q_direct", qd, eta=eta)
-        except (SingularityError, DomainError):
-            continue
-        q9s[i], qds[i] = q9, qd
+    q9s, near_pole = core.quantum_potential_eq9_masked(etas, cfg.params, cfg.consts)
+    qds, excluded = verify.quantum_potential_direct(etas, cfg.params, cfg.consts,
+                                                    fd_step=cfg.fd_step)
+    require_finite("q_eq9", np.where(near_pole, 0.0, q9s), eta=etas)
+    excluded |= near_pole
+    require_finite("q_direct", np.where(excluded, 0.0, qds), eta=etas)
+    # a row is blank unless both columns are kept
+    q9s, qds = (np.where(excluded, np.nan, q) for q in (q9s, qds))
     ratio = q9s / qds
     ratios = ratio[~np.isnan(ratio)].tolist()
     if ratios:
@@ -391,8 +387,9 @@ def _qpotential_table(cfg) -> CsvTable:
               f"[{min(ratios):.6f}, {max(ratios):.6f}] over {len(ratios)} points "
               "(report only; no threshold)")
     else:
-        print("qpotential comparative: every sample point fell inside a pole "
-              "exclusion zone; adjust the grid (report only; no threshold)")
+        print("qpotential comparative: every sample point lies near a density zero "
+              "or has a direct-difference stencil leaving eta > 0; a smaller "
+              "--fd-step narrows both exclusions (report only; no threshold)")
     return CsvTable(["eta", "q_eq9", "q_direct", "ratio"], [etas, q9s, qds, ratio])
 
 

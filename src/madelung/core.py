@@ -32,10 +32,7 @@ __all__ = [
     "GridSpec",
     "PhysicalParams",
     "SolutionConstants",
-    "SimilarityPoint",
     "LabPoint",
-    "ComplexAmplitude",
-    "eta_of",
     "shape_density",
     "simplified_shape_density",
     "shape_velocity_sum",
@@ -121,17 +118,6 @@ class SolutionConstants:
 
 
 @dataclass(frozen=True)
-class SimilarityPoint:
-    """A point eta > 0 of the similarity variable."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise DomainError("eta must be positive")
-
-
-@dataclass(frozen=True)
 class LabPoint:
     """Laboratory coordinates (x, y, t) with t > 0."""
 
@@ -146,34 +132,6 @@ class LabPoint:
     @property
     def s(self) -> float:
         return self.x + self.y
-
-
-@dataclass(frozen=True)
-class ComplexAmplitude:
-    """A complex wave-function value split into real and imaginary parts."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise DomainError("amplitude components must be finite")
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def magnitude(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    def angle(self) -> float:
-        return math.atan2(self.im, self.re)
-
-
-def eta_of(p: LabPoint) -> SimilarityPoint:
-    """Similarity variable (x + y)/sqrt(t) of a lab point."""
-    if not p.s > 0:
-        raise DomainError("x + y must be positive")
-    return SimilarityPoint(p.s / math.sqrt(p.t))
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +393,30 @@ def phase(p: LabPoint, params: PhysicalParams) -> float:
 
 
 def wavefunction_canonical(p: LabPoint, params: PhysicalParams,
-                           consts: SolutionConstants) -> ComplexAmplitude:
-    """sqrt(rho) e^{iS}: modulus from the density, argument from the phase."""
-    return ComplexAmplitude(*_at_point(("psi_re", "psi_im"), p, params, consts))
+                           consts: SolutionConstants) -> complex:
+    """sqrt(rho) e^{iS}: modulus from the density, argument from the phase.
+
+    A non-finite value raises NonFiniteOutput, as in lab_field.
+    """
+    return complex(*_at_point(("psi_re", "psi_im"), p, params, consts))
 
 
 def wavefunction_eq8(p: LabPoint, params: PhysicalParams,
-                     consts: SolutionConstants) -> ComplexAmplitude:
+                     consts: SolutionConstants) -> complex:
     """Alternative closed-form wave function with the t^{1/4} prefactor.
 
     Keeps the prefactor and the unsquared four-Bessel denominator of the
     source formula verbatim, for discrepancy analysis against
     wavefunction_canonical: at fixed eta the modulus ratio
-    eq8/canonical scales as t^{-1/4} (they coincide at t = 1).
+    eq8/canonical scales as t^{-1/4} (they coincide at t = 1).  A
+    non-finite value raises NonFiniteOutput.
     """
     if not p.s > 0:
         raise DomainError("x + y must be positive")
-    psi = complex(_psi_eq8(*(np.array([v]) for v in (p.x, p.y, p.t)), params, consts)[0])
-    return ComplexAmplitude(psi.real, psi.imag)
+    x, y, t = (np.array([v]) for v in (p.x, p.y, p.t))
+    psi = _psi_eq8(x, y, t, params, consts)
+    require_finite("psi_eq8", psi, x=x, y=y, t=t)
+    return complex(psi[0])
 
 
 def _psi_eq8(x, y, t, params, consts):
@@ -500,6 +464,17 @@ def _q9_terms(eta, params, consts):
     return _blockwise(_q9_block, (eta,), params, consts)
 
 
+def _q9_checked(eta, params, consts):
+    # _q9_terms' Q, refused when a point lies within _Q9_EXCLUSION of a pole
+    q, dist = _q9_terms(eta, params, consts)
+    near = dist < _Q9_EXCLUSION
+    if np.any(near):
+        raise SingularityError(
+            f"eta = {float(eta[near][0])!r} lies within {_Q9_EXCLUSION} "
+            "of a quantum-potential pole")
+    return q
+
+
 def quantum_potential_eq9(eta, params: PhysicalParams, consts: SolutionConstants):
     """Quantum potential shape from the printed closed form.
 
@@ -509,14 +484,7 @@ def quantum_potential_eq9(eta, params: PhysicalParams, consts: SolutionConstants
     vanishes, i.e. exactly at the zeros of the density shape function;
     points closer than _Q9_EXCLUSION raise SingularityError.
     """
-    scalar = np.isscalar(eta) or getattr(eta, "ndim", 1) == 0
-    arr = np.atleast_1d(_check_eta(eta))
-    q, dist = _q9_terms(arr, params, consts)
-    if np.any(dist < _Q9_EXCLUSION):
-        bad = float(arr[dist < _Q9_EXCLUSION][0])
-        raise SingularityError(
-            f"eta = {bad!r} lies within {_Q9_EXCLUSION} of a quantum-potential pole")
-    return float(q[0]) if scalar else q
+    return _scalar_or_array(_q9_checked, eta, params, consts)
 
 
 def quantum_potential_eq9_masked(eta, params: PhysicalParams, consts: SolutionConstants):

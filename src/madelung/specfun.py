@@ -178,7 +178,7 @@ def _j_series(orders, z: np.ndarray) -> np.ndarray:
     Each element stops at its own first term k >= 1 with |term| <= 1e-2
     _TARGET_REL_ERROR (scale + tiny), scale its largest partial sum so far,
     and its value is the partial sum through that term; its later terms are
-    zeroed.
+    zeroed.  An element whose leading term is not finite stops at once.
     Once at least half of the running points have stopped in every order,
     they are written out and dropped (never below _COMPACT_MIN points).
     """
@@ -187,6 +187,9 @@ def _j_series(orders, z: np.ndarray) -> np.ndarray:
     half = 0.5 * z
     term = np.array([half**v / _gamma(v + 1.0) for v in orders])
     total, scale = term.copy(), np.abs(term)
+    # a leading term beyond the float range (a negative order at z ~ 1e-200)
+    # would turn into NaN at k = 1; its zeroed successor stops it at its value
+    term[~np.isfinite(term)] = 0.0
     q = -(half * half)
     out = idx = None  # idx: the running points' positions in out, once compacted
     for k in range(1, _MAX_SERIES_TERMS + 1):

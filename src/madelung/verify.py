@@ -26,6 +26,7 @@ from .core import (
     GridSpec,
     PhysicalParams,
     SolutionConstants,
+    _check_eta,
     _k_const,
     _lab_arrays,
     _q_prefactor,
@@ -36,14 +37,12 @@ from .core import (
     shape_velocity_split,
     shape_velocity_sum,
 )
-from .errors import (DomainError, SingularityError, StepTooLarge, StiffnessError, ZeroCrossing,
-                     require_finite)
+from .errors import DomainError, StepTooLarge, StiffnessError, ZeroCrossing, require_finite
 from .series import SampleSeries
 
 __all__ = [
     "GridSpec",
     "ResidualReport",
-    "OdeState",
     "EQUATION_IDS",
     "residual_ode5",
     "residual_ode_system4",
@@ -91,18 +90,6 @@ class ResidualReport:
             raise DomainError("max_abs must be nonnegative")
         if self.excluded_points >= len(self.points):
             raise DomainError("all points excluded")
-
-
-@dataclass(frozen=True)
-class OdeState:
-    """State (f, f') carried by the density-equation march."""
-
-    f: float
-    f_prime: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.f) and math.isfinite(self.f_prime)):
-            raise DomainError("state must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +311,10 @@ def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
     """Finite-difference residuals of the lab-frame fluid equations.
 
     Returns (continuity, euler_x, euler_y) reports over the space grid in
-    s = x + y crossed with the time grid.  The x and y Euler components
-    are evaluated independently but coincide because every field depends
-    on x and y only through their sum.
+    s = x + y crossed with the time grid.  Every field depends on x and y
+    only through their sum, so the two Euler components are equal: euler_y
+    is a copy of the one Euler residual that euler_x reports, not a second
+    evaluation.
 
     Raises StepTooLarge when halving fd_step changes a residual maximum
     by more than a factor of 10 (truncation-dominated step).
@@ -471,7 +459,8 @@ def ode5_oracle_march(eta0: float, eta1: float, params: PhysicalParams,
         np.array([eta0]), params, consts, upto=1))
     if f0 <= 1e-10:
         raise DomainError("eta0 is too close to a density zero")
-    state0 = OdeState(f0, f1)
+    if not (math.isfinite(f0) and math.isfinite(f1)):
+        raise DomainError("state must be finite")
 
     msq = params.m**2 / (params.dimension * params.hbar**2)
 
@@ -484,7 +473,7 @@ def ode5_oracle_march(eta0: float, eta1: float, params: PhysicalParams,
             [(name, [r[i] for r in rows]) for i, name in enumerate(("eta", "f", "f_prime"))])
 
     eta = eta0
-    y = np.array([state0.f, state0.f_prime])
+    y = np.array([f0, f1])
     rows = [(eta, y[0], y[1])]
     h = min(1e-3, (eta1 - eta0) / 10.0)
     err_prev = 1.0
@@ -530,9 +519,8 @@ def ode5_oracle_march(eta0: float, eta1: float, params: PhysicalParams,
 # quantum potential by direct differentiation
 
 
-def quantum_potential_direct(eta: float, params: PhysicalParams,
-                             consts: SolutionConstants,
-                             fd_step: float = 1e-4) -> float:
+def quantum_potential_direct(eta, params: PhysicalParams, consts: SolutionConstants,
+                             fd_step: float = 1e-4):
     """(hbar^2/2m^2) d/deta [ (sqrt f)'' / sqrt f ] by nested differences.
 
     The inner second derivative of sqrt(f) uses step 3*fd_step; the outer
@@ -540,19 +528,26 @@ def quantum_potential_direct(eta: float, params: PhysicalParams,
     bracketed quantity is exactly quadratic in eta for the closed-form f.
     Compare with quantum_potential_eq9 to quantify how far the printed
     closed form is from this reduction.
+
+    Takes positive eta values and returns (q, excluded), shaped like
+    np.atleast_1d(eta), as quantum_potential_eq9_masked does.  A point is
+    excluded, and its q is NaN, if it lies within max(10 fd_step,
+    2 (h1 + 2 h2)) of a density zero or its stencil leaves eta > 0.  Only
+    the kept points are evaluated.
     """
+    eta = np.atleast_1d(_check_eta(eta))
     h2 = 3.0 * fd_step
     h1 = 100.0 * fd_step
-    dist, _ = _zero_distance(np.array([eta]), params, consts)
+    dist, _ = _zero_distance(eta, params, consts)
     guard = max(10.0 * fd_step, 2.0 * (h1 + 2 * h2))
-    if float(dist[0]) < guard:
-        raise SingularityError(
-            f"eta = {eta!r} is within {guard} of a density zero")
-    pts = np.array([eta - h1 - h2, eta - h1, eta - h1 + h2,
+    pts = np.stack([eta - h1 - h2, eta - h1, eta - h1 + h2,
                     eta + h1 - h2, eta + h1, eta + h1 + h2])
-    if np.any(pts <= 0):
-        raise DomainError("stencil leaves eta > 0")
-    root_f = np.sqrt(_simplified_shape_density_arr(pts, params, consts))
-    w_minus = (root_f[0] - 2 * root_f[1] + root_f[2]) / (h2 * h2) / root_f[1]
-    w_plus = (root_f[3] - 2 * root_f[4] + root_f[5]) / (h2 * h2) / root_f[4]
-    return _q_prefactor(params) * (w_plus - w_minus) / (2 * h1)
+    excluded = (dist < guard) | np.any(pts <= 0, axis=0)
+    q = np.full(eta.shape, np.nan)
+    kept = ~excluded
+    if kept.any():
+        root_f = np.sqrt(_simplified_shape_density_arr(pts[:, kept], params, consts))
+        w_minus = (root_f[0] - 2 * root_f[1] + root_f[2]) / (h2 * h2) / root_f[1]
+        w_plus = (root_f[3] - 2 * root_f[4] + root_f[5]) / (h2 * h2) / root_f[4]
+        q[kept] = _q_prefactor(params) * (w_plus - w_minus) / (2 * h1)
+    return q, excluded

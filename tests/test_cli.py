@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from madelung import cli, core
+from madelung import cli, core, specfun
 from madelung.cli import CsvTable, RunConfig, emit, main, parse_grid
 from madelung.errors import DomainError
 
@@ -610,6 +610,29 @@ class TestVerifyCommand:
         assert code == 0
         assert "eq9/direct ratio" in out
 
+    def test_qpotential_row_blank_when_either_side_excludes(self, capsys):
+        # a density zero 1e-10 above eta = 1 lies inside eq. 9's 1e-9 radius
+        # but outside the direct differences' guard at --fd-step 1e-13: the
+        # row is blank in both columns
+        z = core._z_arg(np.array([1.0 + 1e-10]), core.PhysicalParams(m=1.0))
+        j, y = (float(v[0]) for v in specfun._jy(z, [("J", 0.25, 0), ("Y", 0.25, 0)]))
+        code, out, _ = run_cli(capsys, ["verify", "--which", "qpotential", f"--c1={y!r}",
+                                        f"--c2={j!r}", "--fd-step", "1e-13"])
+        assert code == 0
+        assert "over 13 points" in out and "\n1,,,\n" in out
+
+    def test_qpotential_all_excluded_names_both_exclusions(self, capsys):
+        # the eta grid is fixed, so the advice is the step: at --fd-step 0.01
+        # every stencil reaches a density zero or leaves eta > 0
+        code, out, err = run_cli(capsys, ["verify", "--which", "qpotential",
+                                          "--fd-step", "0.01"])
+        assert (code, err) == (0, "")
+        message, header, *rows = out.strip().split("\n")
+        assert "near a density zero" in message and "leaving eta > 0" in message
+        assert "smaller --fd-step" in message and "grid" not in message
+        assert header == "eta,q_eq9,q_direct,ratio"
+        assert len(rows) == 14 and all(row.endswith(",,,") for row in rows)
+
     def test_all_aggregates_seven_reports_and_flags_lab_frame(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--which", "all"])
         assert out.count("equation=") == 7
@@ -717,6 +740,21 @@ class TestIntegrateCommand:
         assert f == pytest.approx(1.0 + math.pi * math.sqrt(2.0) / 8.0 * math.log(1e80), rel=0.02)
 
 
+    @pytest.mark.parametrize("flag", ["--c1", "--c2"])
+    def test_overflowing_panel_is_nonfinite_f(self, capsys, flag):
+        # w^2 overflows in the first Gauss panel: no bisection can resolve it,
+        # so it is reported as the non-finite F it gives
+        code, out, err = run_cli(capsys, ["integrate", flag, "1e200"])
+        assert (code, out, err) == (3, "", "error: F is not finite at H = 10.0\n")
+
+    def test_verdict_prints_the_fitted_coefficient(self, capsys):
+        # b = 5.55e-201 by the integral law: the verdict prints it as the fit line does
+        code, out, _ = run_cli(capsys, ["integrate", "--m", "1e200"])
+        assert code == 0
+        fit_b = out.split(" b=")[1].split()[0]
+        verdict_b = out.split("F grows like ")[1].split()[0]
+        assert verdict_b == fit_b and float(fit_b) > 0.0
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("m,c1,c2", [(1.0, 1.0, 1.0), (2.0, 3.0, -1.0)])
     def test_log_fit_gives_the_integral_law(self, capsys, m, c1, c2, dim):
@@ -810,7 +848,7 @@ class TestLabEvalVectorized:
         if name == "S":
             return core.phase(p, params)
         w = core.wavefunction_canonical(p, params, consts)
-        return w.re if name == "psi_re" else w.im
+        return w.real if name == "psi_re" else w.imag
 
     @pytest.mark.parametrize("name", ["rho", "u", "v", "S", "psi_re", "psi_im"])
     def test_matches_scalar_api(self, capsys, params, consts, name):
@@ -954,7 +992,23 @@ class TestInputContract:
         (["figure", "fig3", "--m", "1e200"], "error: Q is not finite at eta = 0.05\n"),
         (["figure", "fig3", "--hbar", "1e-200"], "error: Q is not finite at eta = 0.05\n"),
         (["eval", "--field", "Q", "--m", "1e-200"], "error: Q is not finite at eta = 0.1\n"),
-    ], ids=["integrate", "verify", "verify-hbar", "qpotential", "figure", "figure-hbar", "eval"])
+        # z ~ 1e-202: the leading series term of J_{-9/4} overflows, which is
+        # a non-finite residual, not a stalled series
+        (["verify", "--which", "ode5", "--m", "1e-200"],
+         "error: ode5 residual is not finite at eta = 0.1\n"),
+        (["verify", "--which", "system4", "--m", "1e-200"],
+         "error: ode_system4 residual is not finite at eta = 0.1\n"),
+        (["verify", "--which", "all", "--m", "1e-200"],
+         "error: ode5 residual is not finite at eta = 0.1\n"),
+        (["verify", "--which", "ode5", "--hbar", "1e200"],
+         "error: ode5 residual is not finite at eta = 0.1\n"),
+        (["verify", "--which", "system4", "--hbar", "1e200"],
+         "error: ode_system4 residual is not finite at eta = 0.1\n"),
+        (["verify", "--which", "all", "--hbar", "1e200"],
+         "error: ode5 residual is not finite at eta = 0.1\n"),
+    ], ids=["integrate", "verify", "verify-hbar", "qpotential", "figure", "figure-hbar", "eval",
+            "ode5-tiny-m", "system4-tiny-m", "all-tiny-m",
+            "ode5-huge-hbar", "system4-huge-hbar", "all-huge-hbar"])
     def test_huge_or_tiny_mass_and_hbar(self, capsys, argv, line):
         # a value that cannot be formed is non-finite: exit 3 with one error
         # line, never a traceback or blank cells; a finite run writes no blank
@@ -973,6 +1027,14 @@ class TestInputContract:
         assert code == 2
         assert out == ""
         assert "underflows to 0 at eta = 1e-200" in err
+
+    def test_qpotential_underflowing_z_exit_2(self, capsys):
+        # z = m eta^2/(4 hbar sqrt(d)) is 0 on the table's whole eta grid: a
+        # usage error, not a table of blank rows
+        code, out, err = run_cli(capsys, ["verify", "--which", "qpotential",
+                                          "--m", "1e-200", "--hbar", "1e200"])
+        assert (code, out) == (2, "")
+        assert "underflows to 0 at eta = 0.4" in err
 
     def test_fd_step_zero_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--which", "pde", "--fd-step", "0"])

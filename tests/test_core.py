@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from madelung import core
 from madelung.core import (
     LAB_FIELDS,
-    ComplexAmplitude,
     LabPoint,
     PhysicalParams,
-    SimilarityPoint,
     SolutionConstants,
     density,
-    eta_of,
     lab_field,
     phase,
     quantum_potential_eq9,
@@ -81,30 +78,7 @@ class TestDomainTypes:
 
     def test_point_invariants(self):
         with pytest.raises(DomainError):
-            SimilarityPoint(eta=0.0)
-        with pytest.raises(DomainError):
             LabPoint(1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            ComplexAmplitude(float("inf"), 0.0)
-
-    def test_complex_amplitude_helpers(self):
-        a = ComplexAmplitude(3.0, 4.0)
-        assert a.magnitude() == 5.0
-        assert a.as_complex() == complex(3.0, 4.0)
-
-
-class TestEtaOf:
-    @pytest.mark.parametrize("x,y,t,expected", [
-        (1.0, 0.0, 1.0, 1.0),
-        (2.0, 2.0, 4.0, 2.0),
-        (1.0, 1.0, 0.25, 4.0),
-    ])
-    def test_examples(self, x, y, t, expected):
-        assert eta_of(LabPoint(x, y, t)).eta == expected
-
-    def test_rejects_nonpositive_sum(self):
-        with pytest.raises(DomainError):
-            eta_of(LabPoint(1.0, -1.0, 1.0))
 
 
 class TestShapeDensity:
@@ -237,32 +211,40 @@ class TestLabFields:
 class TestWaveFunctions:
     def test_canonical_reference(self, params, consts):
         w = wavefunction_canonical(LabPoint(0.5, 0.5, 1.0), params, consts)
-        assert rel(w.re, ref.PSI_05_05_1[0]) < 1e-10
-        assert rel(w.im, ref.PSI_05_05_1[1]) < 1e-10
+        assert rel(w.real, ref.PSI_05_05_1[0]) < 1e-10
+        assert rel(w.imag, ref.PSI_05_05_1[1]) < 1e-10
 
     def test_modulus_squared_equals_density(self, params, consts):
         for (x, y, t) in [(0.5, 0.5, 1.0), (1.0, 2.0, 0.7), (3.0, 1.0, 5.0)]:
             p = LabPoint(x, y, t)
             w = wavefunction_canonical(p, params, consts)
-            assert rel(w.magnitude() ** 2, density(p, params, consts)) < 1e-12
+            assert rel(abs(w) ** 2, density(p, params, consts)) < 1e-12
 
     def test_vanishes_at_density_zero(self, params, consts):
         eta0 = ref.ROOT_ETAS[0]
         w = wavefunction_canonical(LabPoint(eta0 / 2, eta0 / 2, 1.0), params, consts)
-        assert w.magnitude() < 1e-10
+        assert abs(w) < 1e-10
 
     def test_eq8_reference(self, params, consts):
         w = wavefunction_eq8(LabPoint(1.0, 1.0, 1.0), params, consts)
-        assert rel(w.re, ref.PSI_1_1_1[0]) < 1e-10
-        assert rel(w.im, ref.PSI_1_1_1[1]) < 1e-10
-        assert w.magnitude() > 0.0
+        assert rel(w.real, ref.PSI_1_1_1[0]) < 1e-10
+        assert rel(w.imag, ref.PSI_1_1_1[1]) < 1e-10
+        assert abs(w) > 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eq8_nonfinite_raises(self, consts):
+        # m = 1e300, hbar = 1e-10: the eq. 8 modulus cannot be formed
+        with pytest.raises(NonFiniteOutput,
+                           match="psi_eq8 is not finite at x = 1.0, y = 1.0, t = 1.0"):
+            wavefunction_eq8(LabPoint(1.0, 1.0, 1.0), PhysicalParams(m=1e300, hbar=1e-10),
+                             consts)
 
     def test_eq8_phase_matches_canonical(self, params, consts):
         for (x, y, t) in [(0.5, 0.5, 1.0), (1.0, 1.0, 2.0), (2.0, 1.0, 4.0)]:
             p = LabPoint(x, y, t)
             a = wavefunction_eq8(p, params, consts)
             b = wavefunction_canonical(p, params, consts)
-            diff = cmath.phase(a.as_complex() / b.as_complex())
+            diff = cmath.phase(a / b)
             assert abs(diff) < 1e-9
 
     @pytest.mark.parametrize("t", [1.0, 4.0, 16.0])
@@ -272,8 +254,8 @@ class TestWaveFunctions:
         eta = 2.0
         s = eta * math.sqrt(t)
         p = LabPoint(s / 2, s / 2, t)
-        ratio = (wavefunction_eq8(p, params, consts).magnitude()
-                 / wavefunction_canonical(p, params, consts).magnitude())
+        ratio = (abs(wavefunction_eq8(p, params, consts))
+                 / abs(wavefunction_canonical(p, params, consts)))
         assert rel(ratio, t ** -0.25) < 1e-9
 
 
@@ -351,8 +333,8 @@ class TestLabFieldArray:
                       "u": velocity(p, params, consts)[0],
                       "v": velocity(p, params, consts)[1],
                       "S": phase(p, params),
-                      "psi_re": wavefunction_canonical(p, params, consts).re,
-                      "psi_im": wavefunction_canonical(p, params, consts).im}[name]
+                      "psi_re": wavefunction_canonical(p, params, consts).real,
+                      "psi_im": wavefunction_canonical(p, params, consts).imag}[name]
             arr = lab_field(name, np.array([x]), np.array([y]), np.array([t]), params, consts)
             assert arr.shape == (1,)
             assert float(arr[0]) == scalar
@@ -406,8 +388,8 @@ class TestLabFieldArray:
                   "u": lambda p: velocity(p, params, consts)[0],
                   "v": lambda p: velocity(p, params, consts)[1],
                   "S": lambda p: phase(p, params),
-                  "psi_re": lambda p: wavefunction_canonical(p, params, consts).re,
-                  "psi_im": lambda p: wavefunction_canonical(p, params, consts).im}
+                  "psi_re": lambda p: wavefunction_canonical(p, params, consts).real,
+                  "psi_im": lambda p: wavefunction_canonical(p, params, consts).imag}
         points = [LabPoint(*pt) for pt in zip(x.ravel(), y.ravel(), t.ravel())]
         for name in LAB_FIELDS:
             arr = lab_field(name, x, y, t, params, consts).ravel()

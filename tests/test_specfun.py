@@ -153,6 +153,16 @@ class TestBesselJ:
         with pytest.raises(ConvergenceError, match=r"for J_-0\.75 stalled"):
             cross_product(np.array([2.0, 7.5, 6.0, 7.9]))
 
+    def test_overflowing_leading_term_stops_at_once(self):
+        # (z/2)^nu / Gamma(nu + 1) of J_{-9/4} at z = 1e-203 leaves the float
+        # range: that element keeps the infinite value instead of stalling,
+        # and every other element keeps its own bytes
+        z = np.array([1e-203, 0.5])
+        with np.errstate(over="ignore"):
+            j = specfun._j_series([-2.25, 0.25], z)
+        assert np.isinf(j[0, 0]) and np.isfinite(j[1, 0])
+        assert j[:, 1].tobytes() == specfun._j_series([-2.25, 0.25], z[1:])[:, 0].tobytes()
+
 
 class TestBesselY:
     @pytest.mark.parametrize("key,expected", sorted(ref.BESSEL_Y.items()))
@@ -556,7 +566,10 @@ class TestGoldenDigests:
     z = 20).  Q, fig3, verify and four library entries were captured once
     more when w' took the one DLMF 10.6.2 form of core's w bundle and verify
     took its lab velocity from core; capture_digests.py --parent measures
-    such moves against the parent checkout.  The two large eval tables
+    such moves against the parent checkout.  The stdout of both integrate
+    entries moved when the verdict line took the fit line's b format, and
+    that of qpotential --fd-step 0.01 when its all-excluded note changed;
+    every CSV held.  The two large eval tables
     were captured before the CSV writer could split a table over forked
     workers, and hold on either path.  The digests hold for the
     numpy build they were captured with (numpy 2.4.6, x86-64): the Bessel
@@ -583,10 +596,10 @@ class TestGoldenDigests:
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('integrate --limits 10,100,1000,1e4', 0,
          "0f416b2ae86313d932d50f633443a93f2fb7400b06de6d16178c15b886fbb8a8",
-         "a91a60c63da55ef9319ea47169e7631c383106d3074588da522f82464b36d1d9"),
+         "9fb323159e443ff87083af920c5233c9cf80a8e396d36c4ddeee241879b95162"),
         ('integrate --limits 5,50,500 --m 2 --c1 3 --c2 -1', 0,
          "b895690c248ba06d91c09743054173e1857e5c0f06b1413e0c9291b780d9b5fe",
-         "14c93c6bfdc7d561a5f59c724ee63ff68c7fc1febc908658e90630e7bed7ace2"),
+         "7534d09b5abca4c934374648abb8d627cb752defc534b6d87bbe7ea554ce88b2"),
         ('eval --field f --eta 0.1:20:3001:log', 0,
          "28f5ce29d2d1e2f81ab86e553cc52f35cb0becc663b9a7552d01ad1da5022444",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -637,6 +650,17 @@ class TestGoldenDigests:
         ('eval --field u --x 0.5:5:40 --y 0.2 --t 1:2:3 --dim 3', 0,
          "62640afae4ee592115a1f3805164f07b0ae9d1a87b060b19efd9224526342e90",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # the eq. 9 / direct-difference table; at --fd-step 0.01 every row
+        # is excluded and blank
+        ('verify --which qpotential', 0,
+         "631416c81e30e8af21e67108c0f01af36fabdb1ef9c0019a4193901bb3dbca6a",
+         "0ec3988ac4bd226f3b614714e6f12b4848d92e050d54d1d5789ad098afa21527"),
+        ('verify --which qpotential --m 2 --c1 3 --c2 -1', 0,
+         "ec5aa87576af6661e04f501f971fa7e59193e517602fccaf0c344b3bea809bf6",
+         "d8d000615f9613c39357a2c6e7ca01433a72de6dfb52c8ca8a7ea32cc0933a30"),
+        ('verify --which qpotential --fd-step 0.01', 0,
+         "b3ece9f92c34cd72b6aa6a3f81a4d5765fef1ff4e6e3f6c62a9e5850f55f2a91",
+         "de4a379e9504af064dfc0a369ab853e13d0c3fccdb2bd457d4e9956a0cd2054b"),
     ]
 
     @pytest.mark.parametrize("argv,code,csv_sha,out_sha", CLI, ids=[c[0] for c in CLI])
@@ -671,7 +695,7 @@ class TestGoldenDigests:
         if name == "psi_canonical":
             return [verify._psi_canonical(x, y, t, p, c)]
         if name == "eq8_points":
-            return [[core.wavefunction_eq8(core.LabPoint(s, 0.3, 1.0), p, c2).as_complex()
+            return [[core.wavefunction_eq8(core.LabPoint(s, 0.3, 1.0), p, c2)
                      for s in (0.5, 3.0, 8.7, 9.5, 11.0, 25.0)]]
         if name == "shape_derivatives3":
             return verify.shape_derivatives(eta, p, c2, upto=3)

@@ -3,10 +3,9 @@ import pytest
 
 from madelung import core, verify
 from madelung.core import PhysicalParams, SolutionConstants, lab_field, simplified_shape_density
-from madelung.errors import DomainError, SingularityError, ZeroCrossing
+from madelung.errors import DomainError, ZeroCrossing
 from madelung.verify import (
     GridSpec,
-    OdeState,
     ResidualReport,
     ode5_oracle_march,
     quantum_potential_direct,
@@ -40,13 +39,6 @@ class TestGridSpec:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             GridSpec(**kwargs)
-
-
-class TestOdeState:
-    def test_finite(self):
-        assert OdeState(1.0, -2.0).f == 1.0
-        with pytest.raises(DomainError):
-            OdeState(float("nan"), 0.0)
 
 
 class TestShapeDerivatives:
@@ -345,17 +337,30 @@ class TestOdeOracleMarch:
         with pytest.raises(DomainError):
             ode5_oracle_march(2.0, 1.0, params, consts)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_start_rejected(self, params):
+        # c1 = c2 = 1e200: f = (pi^2/64) eta w^2 overflows at eta0
+        with pytest.raises(DomainError, match="state must be finite"):
+            ode5_oracle_march(0.5, 1.0, params, SolutionConstants(c1=1e200, c2=1e200))
+
 
 class TestQuantumPotentialDirect:
+    @staticmethod
+    def kept_value(eta, params, consts):
+        q, excluded = quantum_potential_direct(eta, params, consts)
+        assert q.shape == excluded.shape == (1,)
+        assert not excluded[0]
+        return float(q[0])
+
     @pytest.mark.parametrize("eta", [1.0, 2.0, 2.5])
     def test_equals_minus_eta_over_eight(self, params, consts, eta):
         # the exact reduction of the quantum force for these fields is
         # -eta/(4 d); nested finite differences must land on it
-        val = quantum_potential_direct(eta, params, consts)
+        val = self.kept_value(eta, params, consts)
         assert abs(val - (-eta / 8.0)) / (eta / 8.0) < 1e-5
 
     def test_dimension_scaling(self, consts):
-        val = quantum_potential_direct(1.0, PhysicalParams(m=1.0, dimension=3), consts)
+        val = self.kept_value(1.0, PhysicalParams(m=1.0, dimension=3), consts)
         assert abs(val - (-1.0 / 12.0)) / (1.0 / 12.0) < 1e-5
 
     def test_hbar_squared_prefactor(self, params, consts):
@@ -380,19 +385,32 @@ class TestQuantumPotentialDirect:
         # documented comparative run: the product of prefactor and shape
         # derivative stays on -eta/8 when the mass changes
         for m in (0.5, 2.0):
-            val = quantum_potential_direct(1.0, PhysicalParams(m=m), consts)
+            val = self.kept_value(1.0, PhysicalParams(m=m), consts)
             assert abs(val - (-0.125)) / 0.125 < 1e-4
 
     def test_ratio_to_eq9_documented(self, params, consts):
         from madelung.core import quantum_potential_eq9
 
-        ratio = quantum_potential_eq9(1.0, params, consts) / quantum_potential_direct(
+        ratio = quantum_potential_eq9(1.0, params, consts) / self.kept_value(
             1.0, params, consts)
         assert 0.58 < ratio < 0.64  # measured systematic discrepancy
 
     def test_singularity_guard(self, params, consts):
-        with pytest.raises(SingularityError):
-            quantum_potential_direct(ref.ROOT_ETAS[0] + 0.005, params, consts)
+        q, excluded = quantum_potential_direct(ref.ROOT_ETAS[0] + 0.005, params, consts)
+        assert excluded.tolist() == [True]
+        assert np.isnan(q[0])
+
+    def test_array_equals_pointwise(self, params, consts):
+        # one array call gives each point's one-point value, bit for bit; the
+        # point near the first zero and the point whose stencil leaves
+        # eta > 0 are masked
+        etas = np.array([0.005, 1.0, ref.ROOT_ETAS[0] + 0.005, 2.0, 2.5])
+        q, excluded = quantum_potential_direct(etas, params, consts)
+        assert excluded.tolist() == [True, False, True, False, False]
+        for eta, got, masked in zip(etas, q, excluded):
+            one, one_excluded = quantum_potential_direct(eta, params, consts)
+            assert one_excluded[0] == masked
+            assert np.isnan(got) if masked else got.hex() == one[0].hex()
 
 
 class TestResidualReportInvariants:
