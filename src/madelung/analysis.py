@@ -326,18 +326,19 @@ def _two_level(fn, a, b, nodes, weights):
     """One- and two-panel Gauss estimates; returns (better, err_est)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-
-    def gl(aa, bb):
-        h = 0.5 * (bb - aa)
-        c = 0.5 * (aa + bb)
-        pts = c[:, None] + h[:, None] * nodes[None, :]
-        vals = fn(pts.ravel()).reshape(pts.shape)
-        return (vals @ weights) * h
-
-    coarse = gl(a, b)
-    fine = gl(a, mid) + gl(mid, b)
+    # the coarse panels and both half panels: one fn call on all their nodes
+    lo, hi = np.stack([a, a, mid]), np.stack([b, mid, b])
+    h = 0.5 * (hi - lo)
+    c = 0.5 * (lo + hi)
+    pts = c[..., None] + h[..., None] * nodes
+    vals = fn(pts.ravel()).reshape(pts.shape)
+    # each level's sum is a (panels, 10) @ (10,) product, as with a call per
+    # level: matmul is not row-invariant (a row of a larger block can sum in
+    # another order and round differently), so only the pointwise fn is
+    # batched, never the reduction
+    coarse, left, right = ((v @ weights) * hv for v, hv in zip(vals, h))
+    fine = left + right
     return fine, np.abs(fine - coarse)
 
 

@@ -9,6 +9,7 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -202,23 +203,37 @@ def _write_parts(fh, cols, fmts, bounds):
             f.close()
 
 
-def parse_grid(text: str) -> core.GridSpec:
-    """Grid grammar start:stop:count[:log]."""
+def _floats(text, sep, name, expected, count=None):
+    # the sep-separated floats of a flag's (or config key's) value; a
+    # malformed value is a usage error naming the flag
+    try:
+        values = [float(v) for v in text.split(sep)]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise DomainError(f"bad {name} spec {text!r}; expected {expected}")
+    return values
+
+
+def parse_grid(text: str, name: str = "grid") -> core.GridSpec:
+    """Grid grammar start:stop:count[:log]; errors name the flag or key `name`."""
     parts = text.split(":")
-    if len(parts) not in (3, 4):
-        raise DomainError(f"bad grid spec {text!r}; expected start:stop:count[:log]")
-    spacing = "uniform"
-    if len(parts) == 4:
-        if parts[3] not in ("log", "uniform"):
-            raise DomainError(f"bad grid spacing {parts[3]!r}")
-        spacing = parts[3]
-    return core.GridSpec(float(parts[0]), float(parts[1]), int(parts[2]), spacing)
+    spacing = parts[3] if len(parts) == 4 else "uniform"
+    if spacing not in ("log", "uniform"):
+        raise DomainError(f"bad {name} spacing {spacing!r}")
+    try:
+        if len(parts) not in (3, 4):
+            raise ValueError
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise DomainError(f"bad {name} spec {text!r}; expected start:stop:count[:log]") from None
+    return core.GridSpec(start, stop, count, spacing)
 
 
-def parse_scalar_or_grid(text: str):
+def parse_scalar_or_grid(text: str, name: str):
     if ":" in text:
-        return parse_grid(text)
-    return float(text)
+        return parse_grid(text, name)
+    return _floats(text, ":", name, "a number or start:stop:count[:log]")[0]
 
 
 def read_config_file(path: str) -> dict:
@@ -244,7 +259,7 @@ def build_config(args) -> RunConfig:
     grids = {}
     for key in list(file_vals):
         if key.startswith("grid."):
-            grids[key[5:]] = parse_grid(file_vals.pop(key))
+            grids[key[5:]] = parse_grid(file_vals.pop(key), key)
     unknown = set(file_vals) - set(_CONFIG_KEYS)
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
@@ -296,7 +311,7 @@ def emit(table: CsvTable, cfg: RunConfig):
 def cmd_eval(cfg: RunConfig, args) -> int:
     name = args.field
     if name in ETA_FIELDS:
-        grid = parse_grid(args.eta) if args.eta else cfg.grids.get(
+        grid = parse_grid(args.eta, "--eta") if args.eta else cfg.grids.get(
             "eta", core.GridSpec(0.1, 50.0, 500, "log"))
         etas = grid.points()
         if name == "f":
@@ -331,7 +346,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 def _axis_points(flag_value, cfg, name, default):
     if flag_value is not None:
-        spec = parse_scalar_or_grid(flag_value)
+        spec = parse_scalar_or_grid(flag_value, f"--{name}")
     elif name in cfg.grids:
         spec = cfg.grids[name]
     else:
@@ -445,7 +460,7 @@ def _stack_reports(reports) -> CsvTable:
 def cmd_zeros(cfg: RunConfig, args) -> int:
     from . import analysis
 
-    lo, hi = (float(v) for v in args.range.split(":"))
+    lo, hi = _floats(args.range, ":", "--range", "lo:hi", 2)
     roots = analysis.find_zeros((lo, hi), cfg.params, cfg.consts,
                                 max_roots=args.max_roots)
     matched = ()
@@ -461,7 +476,7 @@ def cmd_zeros(cfg: RunConfig, args) -> int:
 def cmd_integrate(cfg: RunConfig, args) -> int:
     from . import analysis
 
-    limits = [float(v) for v in args.limits.split(",")]
+    limits = _floats(args.limits, ",", "--limits", "comma-separated numbers")
     result = analysis.integrate_density(limits, cfg.params, cfg.consts,
                                         tol=cfg.tol)
     hs, fs, errs = zip(*result.partial_integrals)
@@ -493,7 +508,9 @@ def cmd_figure(cfg: RunConfig, args) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--m", type=float, default=None, help="particle mass")
     common.add_argument("--hbar", type=float, default=None, help="reduced Planck constant")

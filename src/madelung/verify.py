@@ -247,35 +247,33 @@ def _lab_exclusion(x, y, t, params, consts):
 
 
 def _continuity_euler(x, y, t, params, consts, h, hq):
-    def diffs(dx, dy, dt):
-        # central differences of rho, rho u and u along (dx, dy, dt)
-        (rp, up), (rm, um) = (
-            _lab_fields(("rho", "u"), x + e * dx, y + e * dy, t + e * dt, params, consts)
-            for e in (1.0, -1.0))
-        return (rp - rm) / (2 * h), (rp * up - rm * um) / (2 * h), (up - um) / (2 * h)
-
-    rho_t, _, u_t = diffs(0.0, 0.0, h)
-    _, flux_x, u_x = diffs(h, 0.0, 0.0)
-    _, flux_y, u_y = diffs(0.0, h, 0.0)
+    # rho and u on all 17 stencil sets from one _lab_fields call (each value
+    # depends on its own point alone): central differences along t, x and y,
+    # the 5-point Laplacians of sqrt(rho) at x + h and x - h, whose wider
+    # step hq keeps their rounding noise below the budget, and the centre
+    sets = [(x, y, t + h), (x, y, t - h), (x + h, y, t), (x - h, y, t),
+            (x, y + h, t), (x, y - h, t)]
+    for xx in (x + h, x - h):
+        sets += [(xx, y, t), (xx + hq, y, t), (xx - hq, y, t), (xx, y + hq, t),
+                 (xx, y - hq, t)]
+    rho, u = _lab_fields(("rho", "u"), *map(np.stack, zip(*sets, (x, y, t))),
+                         params, consts)
+    # central differences between the sets i and i + 1
+    flux = rho * u
+    rho_t, flux_x, flux_y = ((a[i] - a[i + 1]) / (2 * h)
+                             for a, i in ((rho, 0), (flux, 2), (flux, 4)))
+    u_t, u_x, u_y = ((u[i] - u[i + 1]) / (2 * h) for i in (0, 2, 4))
     cont = rho_t + flux_x + flux_y
     cont_scale = np.maximum.reduce([np.abs(rho_t), np.abs(flux_x), np.abs(flux_y)])
 
-    # quantum term by nested differences of sqrt(rho); the inner Laplacian
-    # uses the wider step hq to keep its rounding noise below the budget
-    def sq(xx, yy, tt_):
-        return np.sqrt(_lab_fields(("rho",), xx, yy, tt_, params, consts)[0])
+    # quantum term: lap(sqrt rho)/sqrt rho on sets 6-10 and 11-15, differenced
+    sq = np.sqrt(rho)
+    g = [((sq[i + 1] - 2 * sq[i] + sq[i + 2]) + (sq[i + 3] - 2 * sq[i] + sq[i + 4]))
+         / (hq * hq) / sq[i] for i in (6, 11)]
+    q_x = _q_prefactor(params) * (g[0] - g[1]) / (2 * h)
 
-    def g_of(xx):
-        ctr = sq(xx, y, t)
-        lap = ((sq(xx + hq, y, t) - 2 * ctr + sq(xx - hq, y, t))
-               + (sq(xx, y + hq, t) - 2 * ctr + sq(xx, y - hq, t))) / (hq * hq)
-        return lap / ctr
-
-    q_x = _q_prefactor(params) * (g_of(x + h) - g_of(x - h)) / (2 * h)
-
-    [u] = _lab_fields(("u",), x, y, t, params, consts)
-    adv_x = u * u_x
-    adv_y = u * u_y
+    adv_x = u[16] * u_x
+    adv_y = u[16] * u_y
     euler = u_t + adv_x + adv_y - q_x
     euler_scale = np.maximum.reduce(
         [np.abs(u_t), np.abs(adv_x), np.abs(adv_y), np.abs(q_x)])
@@ -344,10 +342,13 @@ def _psi_canonical(x, y, t, params, consts):
 
 
 def _schrodinger_residual(x, y, t, params, h, psi):
-    ctr = psi(x, y, t)
-    lap = ((psi(x + h, y, t) - 2 * ctr + psi(x - h, y, t))
-           + (psi(x, y + h, t) - 2 * ctr + psi(x, y - h, t))) / (h * h)
-    psi_t = (psi(x, y, t + h) - psi(x, y, t - h)) / (2 * h)
+    # one psi call on the 7 stencil sets, stacked as rows in this order, so
+    # a non-finite psi is named at the first point a call per set would name
+    sets = [(x, y, t), (x + h, y, t), (x - h, y, t), (x, y + h, t), (x, y - h, t),
+            (x, y, t + h), (x, y, t - h)]
+    ctr, xp, xm, yp, ym, tp, tm = psi(*map(np.stack, zip(*sets)))
+    lap = ((xp - 2 * ctr + xm) + (yp - 2 * ctr + ym)) / (h * h)
+    psi_t = (tp - tm) / (2 * h)
     coeff = 2.0 * params.m / params.hbar
     res = lap - 1j * coeff * psi_t
     scale = np.abs(lap) + coeff * np.abs(psi_t)
@@ -372,7 +373,11 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
     callable (x, y, t) -> complex array, e.g. an exact solution serving as
     a positive control; the exclusion mask stays the one of params and
     consts.  The literally transcribed eq. 8 wave function is one such psi:
-    (x, y, t) -> core._psi_eq8(x, y, t, params, consts).
+    (x, y, t) -> core._psi_eq8(x, y, t, params, consts).  Each difference
+    step calls psi once, on its whole stencil: (7, n) arrays whose rows are
+    the centre and the points shifted by +-fd_step along x, y and t.  psi
+    must therefore be pointwise, each value a function of its own (x, y, t)
+    alone, and return an array of the arguments' shape.
 
     Richardson ratio: on the 21x7 acceptance grid an exact solution gives
     4 (second-order truncation) at fd_step 1e-3, but at fd_step <~ 1e-4

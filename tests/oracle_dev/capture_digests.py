@@ -20,7 +20,10 @@ difference: relative to its envelope (the largest |value| of the same
 CSV column and equation, or of the same library array) and in ulps of
 the parent's value.  CLI entries are compared cell by cell (CSV) and
 number by number (stdout); library entries element by element.  A
-library entry that PATH's test file does not define is reported as new.
+library entry that PATH's test file does not define runs this checkout's
+definition on PATH's code, so a digest added to pin a path before it
+changes is measured against PATH too; one that PATH's code cannot evaluate
+is reported as new.
 """
 
 import argparse
@@ -71,14 +74,18 @@ def library_entry(name):
 
 
 # Runs in a subprocess on the parent checkout: argv[1] is its root,
-# argv[2] a directory for the outputs, argv[3] the CLI argv list as JSON.
+# argv[2] a directory for the outputs, argv[3] the CLI argv list as JSON,
+# argv[4] this checkout's test_specfun.py.
 _PARENT_RUN = r"""
-import contextlib, io, json, os, sys
+import contextlib, importlib.util, io, json, os, sys
 root, out = sys.argv[1], sys.argv[2]
 sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
 import numpy as np
 from madelung import cli
 from test_specfun import TestGoldenDigests as G
+spec = importlib.util.spec_from_file_location("child_test_specfun", sys.argv[4])
+child = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(child)
 results = {}
 for i, argv in enumerate(json.loads(sys.argv[3])):
     path = os.path.join(out, f"cli{i}.csv")
@@ -89,14 +96,19 @@ for i, argv in enumerate(json.loads(sys.argv[3])):
         results[argv] = [code, fh.read(), buf.getvalue()]
 with open(os.path.join(out, "cli.json"), "w") as fh:
     json.dump(results, fh)
-for name in G.LIBRARY:
-    arrays = [np.asarray(a) for a in G.library_arrays(name)]
+for name in child.TestGoldenDigests.LIBRARY:
+    owner = G if name in G.LIBRARY else child.TestGoldenDigests
+    try:
+        arrays = [np.asarray(a) for a in owner.library_arrays(name)]
+    except (AttributeError, TypeError):
+        continue  # PATH's code lacks what the entry calls: reported as new
     np.savez(os.path.join(out, name + ".npz"), *arrays)
 """
 
 
 def parent_outputs(root, argvs, tmp):
-    subprocess.run([sys.executable, "-c", _PARENT_RUN, root, tmp, json.dumps(argvs)],
+    child_tests = os.path.join(HERE, "..", "test_specfun.py")
+    subprocess.run([sys.executable, "-c", _PARENT_RUN, root, tmp, json.dumps(argvs), child_tests],
                    check=True, env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
     with open(os.path.join(tmp, "cli.json")) as fh:
         cli_out = json.load(fh)

@@ -1046,3 +1046,30 @@ class TestInputContract:
         code, _, err = run_cli(capsys, ["integrate", "--limits", "10", "--tol", tol])
         assert code == 2
         assert "--tol must be finite and positive" in err
+
+    @pytest.mark.parametrize("argv,line", [
+        (["zeros", "--range", "1:2:3"], "error: bad --range spec '1:2:3'; expected lo:hi\n"),
+        (["zeros", "--range", "0.1:x"], "error: bad --range spec '0.1:x'; expected lo:hi\n"),
+        (["integrate", "--limits", ""],
+         "error: bad --limits spec ''; expected comma-separated numbers\n"),
+        (["integrate", "--limits", "10,,100"],
+         "error: bad --limits spec '10,,100'; expected comma-separated numbers\n"),
+        (["eval", "--field", "f", "--eta", "1:2:1e9"],
+         "error: bad --eta spec '1:2:1e9'; expected start:stop:count[:log]\n"),
+        (["eval", "--field", "f", "--eta", "a:2:9"],
+         "error: bad --eta spec 'a:2:9'; expected start:stop:count[:log]\n"),
+        (["eval", "--field", "rho", "--x", "1:2:3.0"],
+         "error: bad --x spec '1:2:3.0'; expected start:stop:count[:log]\n"),
+        (["eval", "--field", "rho", "--t", "soon"],
+         "error: bad --t spec 'soon'; expected a number or start:stop:count[:log]\n"),
+    ], ids=["range-count", "range-float", "limits-empty", "limits-gap", "eta-count",
+            "eta-start", "x-count", "t-scalar"])
+    def test_malformed_spec_names_the_flag(self, capsys, argv, line):
+        # exit 2 with the flag and its grammar, not a Python conversion error
+        assert run_cli(capsys, argv) == (2, "", line)
+
+    def test_malformed_config_grid_names_the_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid.eta = 0.1:2:ten\n")
+        assert run_cli(capsys, ["eval", "--field", "f", "--config", str(cfg)]) == (
+            2, "", "error: bad grid.eta spec '0.1:2:ten'; expected start:stop:count[:log]\n")

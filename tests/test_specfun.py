@@ -571,7 +571,10 @@ class TestGoldenDigests:
     that of qpotential --fd-step 0.01 when its all-excluded note changed;
     every CSV held.  The two large eval tables
     were captured before the CSV writer could split a table over forked
-    workers, and hold on either path.  The digests hold for the
+    workers, and hold on either path.  The pde, schrodinger and
+    integrate --tol 1e-14 entries and schrodinger_eq8 were captured on the
+    code that evaluated each stencil set and each Gauss level by its own
+    call, before those calls were stacked.  The digests hold for the
     numpy build they were captured with (numpy 2.4.6, x86-64): the Bessel
     kernels call numpy's cos, sin and power, whose last bit may differ on
     other builds.
@@ -661,6 +664,18 @@ class TestGoldenDigests:
         ('verify --which qpotential --fd-step 0.01', 0,
          "b3ece9f92c34cd72b6aa6a3f81a4d5765fef1ff4e6e3f6c62a9e5850f55f2a91",
          "de4a379e9504af064dfc0a369ab853e13d0c3fccdb2bd457d4e9956a0cd2054b"),
+        # the batched stencils and Gauss levels: the lab residuals at the
+        # step where truncation, not rounding, sets them, and an integrate
+        # whose panels miss the tolerance and are bisected by _adaptive_panel
+        ('verify --which pde --fd-step 1e-3', 3,
+         "7de04491d5418250b6c5779ad250a440a5da0d54d2e1ebca3a8b3fc5f8efe647",
+         "8ba698b05e1456c2c7ccaac190433996c6d41160a791ec85b7f740014c09e54c"),
+        ('verify --which schrodinger --fd-step 1e-3 --m 2 --c1 3 --c2 -1', 3,
+         "3aad21e8d9d6bc9676292d68e7977c4bb34a545d8a07075c8a1f13d1b1115075",
+         "7bc761f21acdca183781581f5017ff2b9677ee799556c3f99ab36e7a9b6f4afe"),
+        ('integrate --limits 10,100 --tol 1e-14', 0,
+         "09211318f650fa769b547ef6a63bfe192613a7119a0fbc9079df838f3870ec94",
+         "bdc77325855d3c532d8fb22e2d5ff3ec1ca7c62b7da38c2d1a12928c1ab6c793"),
     ]
 
     @pytest.mark.parametrize("argv,code,csv_sha,out_sha", CLI, ids=[c[0] for c in CLI])
@@ -679,6 +694,7 @@ class TestGoldenDigests:
         "c_squared": "b401f5c490a0148036a39b885c7aeb9bd221ce1312586a5ccdfc14023429460b",
         "d_fn": "8ecf4f33cb3a44caf482ea06f65889b63861c84bc21b81bded003f38b7ea45cb",
         "q9_masked": "1bb66f99b735180e638a1a47ca8a4f7d3867c67108ce88f5ff5042d5ceec36ce",
+        "schrodinger_eq8": "8df4f53dce83aa5c20c14de88ce74f3a2494b4f7fe3627b98658da3a12c516c0",
     }
 
     @staticmethod
@@ -705,6 +721,11 @@ class TestGoldenDigests:
             return [analysis._c_fn(c2)(z) ** 2]
         if name == "d_fn":  # D = -w
             return [-core._w_bundle(z, c2)[0]]
+        if name == "schrodinger_eq8":  # a psi= closure on the acceptance grid
+            rep = verify.residual_schrodinger(
+                verify.GridSpec(1.0, 5.0, 21), verify.GridSpec(1.0, 2.0, 7), p, c2,
+                psi=lambda xx, yy, tt: core._psi_eq8(xx, yy, tt, p, c2))
+            return [rep.points.values, [rep.max_abs, rep.max_rel, rep.extras["richardson_ratio"]]]
         return core.quantum_potential_eq9_masked(eta, p, c2)
 
     @pytest.mark.parametrize("name", list(LIBRARY))
