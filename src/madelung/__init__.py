@@ -8,14 +8,13 @@ from .core import (
     density,
     lab_field,
     phase,
-    quantum_potential_eq9,
+    quantum_potential_eq9_masked,
     shape_density,
     shape_velocity_split,
     shape_velocity_sum,
     simplified_shape_density,
     velocity,
     wavefunction_canonical,
-    wavefunction_eq8,
 )
 from .errors import (
     ConvergenceError,
@@ -24,7 +23,6 @@ from .errors import (
     NonFiniteOutput,
     PoleError,
     RangeTooNarrow,
-    SingularityError,
     StepTooLarge,
     StiffnessError,
     ToleranceNotMet,

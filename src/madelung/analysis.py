@@ -322,7 +322,7 @@ _GAUSS_WEIGHTS = np.array([
     0.1494513491505804, 0.06667134430868814])
 
 
-def _two_level(fn, a, b, nodes, weights):
+def _two_level(fn, a, b):
     """One- and two-panel Gauss estimates; returns (better, err_est)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -331,19 +331,19 @@ def _two_level(fn, a, b, nodes, weights):
     lo, hi = np.stack([a, a, mid]), np.stack([b, mid, b])
     h = 0.5 * (hi - lo)
     c = 0.5 * (lo + hi)
-    pts = c[..., None] + h[..., None] * nodes
+    pts = c[..., None] + h[..., None] * _GAUSS_NODES
     vals = fn(pts.ravel()).reshape(pts.shape)
     # each level's sum is a (panels, 10) @ (10,) product, as with a call per
     # level: matmul is not row-invariant (a row of a larger block can sum in
     # another order and round differently), so only the pointwise fn is
     # batched, never the reduction
-    coarse, left, right = ((v @ weights) * hv for v, hv in zip(vals, h))
+    coarse, left, right = ((v @ _GAUSS_WEIGHTS) * hv for v, hv in zip(vals, h))
     fine = left + right
     return fine, np.abs(fine - coarse)
 
 
-def _adaptive_panel(fn, a, b, tol, nodes, weights, depth=0):
-    fine, err = _two_level(fn, np.array([a]), np.array([b]), nodes, weights)
+def _adaptive_panel(fn, a, b, tol, depth=0):
+    fine, err = _two_level(fn, np.array([a]), np.array([b]))
     # a non-finite panel stays so when halved: it is returned for the
     # caller to report as non-finite F
     if float(err[0]) <= tol or not math.isfinite(float(fine[0])):
@@ -351,16 +351,16 @@ def _adaptive_panel(fn, a, b, tol, nodes, weights, depth=0):
     if depth >= 40:
         raise ToleranceNotMet(f"panel [{a}, {b}] not resolved to {tol}")
     mid = 0.5 * (a + b)
-    v1, e1 = _adaptive_panel(fn, a, mid, tol / 2, nodes, weights, depth + 1)
-    v2, e2 = _adaptive_panel(fn, mid, b, tol / 2, nodes, weights, depth + 1)
+    v1, e1 = _adaptive_panel(fn, a, mid, tol / 2, depth + 1)
+    v2, e2 = _adaptive_panel(fn, mid, b, tol / 2, depth + 1)
     return v1 + v2, e1 + e2
 
 
-def _integrate_edges(fn, edges, tol, nodes, weights):
+def _integrate_edges(fn, edges, tol):
     """Adaptive two-level Gauss over consecutive panels; vectorized first pass."""
     a = edges[:-1]
     b = edges[1:]
-    fine, err = _two_level(fn, a, b, nodes, weights)
+    fine, err = _two_level(fn, a, b)
     total = 0.0
     err_total = 0.0
     for i in range(len(a)):
@@ -368,7 +368,7 @@ def _integrate_edges(fn, edges, tol, nodes, weights):
             total += float(fine[i])
             err_total += float(err[i])
         else:
-            v, e = _adaptive_panel(fn, float(a[i]), float(b[i]), tol, nodes, weights)
+            v, e = _adaptive_panel(fn, float(a[i]), float(b[i]), tol)
             total += v
             err_total += e
     return total, err_total
@@ -471,7 +471,7 @@ def _tail_segment(a, b, ends, consts):
     return total, err
 
 
-def _segment_integral(z_a, z_b, zero_edges, ends, consts, tol, nodes, weights):
+def _segment_integral(z_a, z_b, zero_edges, ends, consts, tol):
     """Integral of w(z)^2 over [z_a, z_b] split at _TAIL_START."""
     total = 0.0
     err = 0.0
@@ -484,15 +484,14 @@ def _segment_integral(z_a, z_b, zero_edges, ends, consts, tol, nodes, weights):
             # w(z)^2 ~ z^{-1/2} endpoint behavior becomes smooth
             first = float(inner[0]) if len(inner) else lo_end
             fn_u = lambda u: w(u * u) ** 2 * 2.0 * u
-            v, e = _integrate_edges(
-                fn_u, np.array([0.0, math.sqrt(first)]), tol, nodes, weights)
+            v, e = _integrate_edges(fn_u, np.array([0.0, math.sqrt(first)]), tol)
             total += v
             err += e
             inner = inner[inner > first]
             z_a = first
         if z_a < lo_end:
             edges = np.concatenate([[z_a], inner, [lo_end]])
-            v, e = _integrate_edges(lambda z: w(z) ** 2, edges, tol, nodes, weights)
+            v, e = _integrate_edges(lambda z: w(z) ** 2, edges, tol)
             total += v
             err += e
     if z_b > _TAIL_START:
@@ -551,7 +550,6 @@ def integrate_density(upper_limits, params: PhysicalParams,
         zero_edges = 0.5 * (z_a + z_b)
     else:
         zero_edges = np.empty(0)
-    nodes, weights = _GAUSS_NODES, _GAUSS_WEIGHTS
     # every tail segment starts at _TAIL_START or at the checkpoint before it
     tail_z = [z for z in z_cps if z > _TAIL_START]
     ends = _tail_ends(np.array([_TAIL_START] + tail_z), consts) if tail_z else {}
@@ -561,7 +559,7 @@ def integrate_density(upper_limits, params: PhysicalParams,
     at_checkpoints = []
     prev = 0.0
     for z_cp in z_cps:
-        v, e = _segment_integral(prev, z_cp, zero_edges, ends, consts, tol, nodes, weights)
+        v, e = _segment_integral(prev, z_cp, zero_edges, ends, consts, tol)
         running += v
         err_running += e
         at_checkpoints.append((running, err_running))
@@ -612,7 +610,9 @@ def figure_series(figure_id: str, params: PhysicalParams,
         for mass in _FIG1_MASSES:
             p = PhysicalParams(m=mass, hbar=params.hbar, dimension=params.dimension)
             label = "f_m" + ("1" if mass == 1.0 else "0p5")
-            cols.append((label, _simplified_shape_density_arr(etas, p, consts)))
+            f = _simplified_shape_density_arr(etas, p, consts)
+            require_finite(label, f, eta=etas)
+            cols.append((label, f))
         return SampleSeries.from_columns(cols)
     if figure_id == "fig2":
         gx = grid or GridSpec(0.1, 6.0, 160)

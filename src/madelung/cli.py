@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -100,11 +100,6 @@ class CsvTable:
             _write_parts(fh, cols, fmts, bounds)
         else:
             _write_rows(fh, cols, fmts, 0, nrows)
-
-    def render(self) -> str:
-        buf = io.StringIO()
-        self.write(buf)
-        return buf.getvalue()
 
 
 def _write_rows(fh, cols, fmts, lo, hi):
@@ -508,6 +503,9 @@ def cmd_figure(cfg: RunConfig, args) -> int:
 # entry point
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def _build_parser():
     # built once per process: parse_args leaves the parser unchanged
@@ -557,6 +555,11 @@ def _build_parser():
 
     p_fig = sub.add_parser("figure", parents=[common], help="figure data series")
     p_fig.add_argument("figure_id", choices=("fig1", "fig2", "fig3"))
+    # no option starts with "-" and a digit, so such a word is a value, in
+    # exponent and range form too ("-1e-3", "-1:1:3"), which the default
+    # pattern (whole integers and decimals only) reads as an option name
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, SingularityError, require_finite
+from .errors import DomainError, require_finite
 
 __all__ = [
     "LAB_FIELDS",
@@ -42,8 +42,7 @@ __all__ = [
     "velocity",
     "phase",
     "wavefunction_canonical",
-    "wavefunction_eq8",
-    "quantum_potential_eq9",
+    "quantum_potential_eq9_masked",
 ]
 
 _SHAPE_AMPLITUDE = math.pi * math.pi / 64.0
@@ -128,10 +127,6 @@ class LabPoint:
     def __post_init__(self):
         if not self.t > 0:
             raise DomainError("t must be positive")
-
-    @property
-    def s(self) -> float:
-        return self.x + self.y
 
 
 # ---------------------------------------------------------------------------
@@ -366,25 +361,15 @@ def lab_field(name: str, x, y, t, params: PhysicalParams,
     return _lab_arrays((name,), x, y, t, params, consts)[0]
 
 
-def _at_point(names, p: LabPoint, params, consts):
-    fields = _lab_arrays(names, [p.x], [p.y], [p.t], params, consts)
-    return tuple(float(v[0]) for v in fields)
-
-
 def density(p: LabPoint, params: PhysicalParams, consts: SolutionConstants) -> float:
-    """rho(x, y, t) = f(eta)/sqrt(t)."""
-    return _at_point(("rho",), p, params, consts)[0]
+    """rho(x, y, t) = f(eta)/sqrt(t): lab_field at one point."""
+    return float(lab_field("rho", [p.x], [p.y], [p.t], params, consts)[0])
 
 
 def velocity(p: LabPoint, params: PhysicalParams, consts: SolutionConstants):
     """(u, v) = (g(eta), h(eta))/sqrt(t); equals ((x+y)/(4t),)*2 for c0 = 0."""
-    # the operations of lab_field on floats (LabPoint guarantees t > 0)
-    s = p.x + p.y
-    if not s > 0.0:
-        raise DomainError("x + y must be positive")
-    rt = math.sqrt(p.t)
-    g, h = shape_velocity_split(s / rt, consts)
-    return g / rt, h / rt
+    u, v = _lab_arrays(("u", "v"), [p.x], [p.y], [p.t], params, consts)
+    return float(u[0]), float(v[0])
 
 
 def phase(p: LabPoint, params: PhysicalParams) -> float:
@@ -394,33 +379,18 @@ def phase(p: LabPoint, params: PhysicalParams) -> float:
 
 def wavefunction_canonical(p: LabPoint, params: PhysicalParams,
                            consts: SolutionConstants) -> complex:
-    """sqrt(rho) e^{iS}: modulus from the density, argument from the phase.
-
-    A non-finite value raises NonFiniteOutput, as in lab_field.
-    """
-    return complex(*_at_point(("psi_re", "psi_im"), p, params, consts))
-
-
-def wavefunction_eq8(p: LabPoint, params: PhysicalParams,
-                     consts: SolutionConstants) -> complex:
-    """Alternative closed-form wave function with the t^{1/4} prefactor.
-
-    Keeps the prefactor and the unsquared four-Bessel denominator of the
-    source formula verbatim, for discrepancy analysis against
-    wavefunction_canonical: at fixed eta the modulus ratio
-    eq8/canonical scales as t^{-1/4} (they coincide at t = 1).  A
-    non-finite value raises NonFiniteOutput.
-    """
-    if not p.s > 0:
-        raise DomainError("x + y must be positive")
-    x, y, t = (np.array([v]) for v in (p.x, p.y, p.t))
-    psi = _psi_eq8(x, y, t, params, consts)
-    require_finite("psi_eq8", psi, x=x, y=y, t=t)
-    return complex(psi[0])
+    """sqrt(rho) e^{iS}; a non-finite value raises NonFiniteOutput."""
+    psi_re, psi_im = _lab_arrays(("psi_re", "psi_im"), [p.x], [p.y], [p.t], params, consts)
+    return complex(psi_re[0], psi_im[0])
 
 
 def _psi_eq8(x, y, t, params, consts):
-    # wavefunction_eq8 on broadcast (x, y, t) arrays with x + y > 0
+    """The eq. 8 wave function on broadcast (x, y, t) arrays with x + y > 0.
+
+    Keeps the source formula's t^{1/4} prefactor and unsquared four-Bessel
+    denominator: at fixed eta its modulus is t^{-1/4} times the canonical
+    one (they coincide at t = 1).
+    """
     s = x + y
     z = _z_arg(s / np.sqrt(t), params)
     num, cross = _four_bessel_terms(z, consts)
@@ -460,37 +430,16 @@ def _q9_block(eta, params, consts):
     return q, _newton_distance(eta, z, w, w1)[0]
 
 
-def _q9_terms(eta, params, consts):
-    return _blockwise(_q9_block, (eta,), params, consts)
-
-
-def _q9_checked(eta, params, consts):
-    # _q9_terms' Q, refused when a point lies within _Q9_EXCLUSION of a pole
-    q, dist = _q9_terms(eta, params, consts)
-    near = dist < _Q9_EXCLUSION
-    if np.any(near):
-        raise SingularityError(
-            f"eta = {float(eta[near][0])!r} lies within {_Q9_EXCLUSION} "
-            "of a quantum-potential pole")
-    return q
-
-
-def quantum_potential_eq9(eta, params: PhysicalParams, consts: SolutionConstants):
-    """Quantum potential shape from the printed closed form.
+def quantum_potential_eq9_masked(eta, params: PhysicalParams, consts: SolutionConstants):
+    """(Q, excluded): Q of eq. 9 on the 1-D array of eta, and its pole mask.
 
     Q(eta) = (hbar^2 / 2 m^2) d/deta [ -eta^2 M^2 / (8 (c1 J_{1/4}(z)
-    - c2 Y_{1/4}(z))) ], with the derivative taken analytically through
-    the Bessel recurrences.  Diverges where the bracket denominator
-    vanishes, i.e. exactly at the zeros of the density shape function;
-    points closer than _Q9_EXCLUSION raise SingularityError.
+    - c2 Y_{1/4}(z))) ], differentiated analytically.  It diverges at the
+    zeros of the density shape; Q is NaN, and excluded True, at the points
+    closer than _Q9_EXCLUSION to one.
     """
-    return _scalar_or_array(_q9_checked, eta, params, consts)
-
-
-def quantum_potential_eq9_masked(eta, params: PhysicalParams, consts: SolutionConstants):
-    """Array variant that NaN-masks excluded points instead of raising."""
     arr = np.atleast_1d(_check_eta(eta))
-    q, dist = _q9_terms(arr, params, consts)
+    q, dist = _blockwise(_q9_block, (arr,), params, consts)
     excluded = dist < _Q9_EXCLUSION
     q = np.where(excluded, np.nan, q)
     return q, excluded

@@ -19,10 +19,6 @@ class ConvergenceError(MadelungError):
     """Neither evaluation regime can attain the requested accuracy."""
 
 
-class SingularityError(MadelungError):
-    """Evaluation point inside the exclusion radius of a pole."""
-
-
 class ZeroCrossing(MadelungError):
     """ODE march reached a zero of the density shape function.
 

@@ -107,10 +107,6 @@ class BesselOrder:
     def value(self) -> float:
         return self.numerator / 4.0
 
-    def shifted(self, n: int) -> "BesselOrder":
-        """Order nu + n reached by the +-1 recurrence."""
-        return BesselOrder(self.numerator + 4 * n)
-
 
 # Lanczos approximation, g = 7, 9 coefficients: ~1e-13 relative accuracy
 # in double precision over the whole right half plane.

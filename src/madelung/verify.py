@@ -531,7 +531,7 @@ def quantum_potential_direct(eta, params: PhysicalParams, consts: SolutionConsta
     The inner second derivative of sqrt(f) uses step 3*fd_step; the outer
     derivative uses a 100x wider step, which is loss-free because the
     bracketed quantity is exactly quadratic in eta for the closed-form f.
-    Compare with quantum_potential_eq9 to quantify how far the printed
+    Compare with quantum_potential_eq9_masked to quantify how far the printed
     closed form is from this reduction.
 
     Takes positive eta values and returns (q, excluded), shaped like

@@ -160,9 +160,9 @@ def test_criterion_06_zero_pole_coincidence():
     etas = roots.etas()
     for i in range(10):
         mid = 0.5 * (etas[i] + etas[i + 1])
-        q_mid = abs(core.quantum_potential_eq9(mid, PARAMS, CONSTS))
-        q_near = min(abs(core.quantum_potential_eq9(etas[i] - 1e-4, PARAMS, CONSTS)),
-                     abs(core.quantum_potential_eq9(etas[i] + 1e-4, PARAMS, CONSTS)))
+        q_mid, q_below, q_above = np.abs(core.quantum_potential_eq9_masked(
+            [mid, etas[i] - 1e-4, etas[i] + 1e-4], PARAMS, CONSTS)[0])
+        q_near = min(q_below, q_above)
         if not q_near > 1e3 * q_mid:
             magnitudes_ok = False
     passed = max(seps) <= 1e-8 and magnitudes_ok

@@ -152,9 +152,9 @@ class TestBitEqualToOneCallPerSet:
         edges = np.concatenate([[1e-8], np.linspace(0.5, 60.0, 37)])
         fns = (lambda z: w(z) ** 2, lambda u: w(u * u) ** 2 * 2.0 * u)
         for fn, (a, b) in zip(fns, ((edges[:-1], edges[1:]), ([0.0], [1.3]))):
-            args = (fn, np.asarray(a), np.asarray(b),
-                    analysis._GAUSS_NODES, analysis._GAUSS_WEIGHTS)
-            assert _bits(analysis._two_level(*args)) == _bits(_oracle_two_level(*args))
+            a, b = np.asarray(a), np.asarray(b)
+            assert _bits(analysis._two_level(fn, a, b)) == _bits(_oracle_two_level(
+                fn, a, b, analysis._GAUSS_NODES, analysis._GAUSS_WEIGHTS))
 
     @pytest.mark.parametrize("m,c1,c2,d", CASES)
     def test_integrate_density_with_bisected_panels(self, m, c1, c2, d, monkeypatch):
@@ -170,7 +170,8 @@ class TestBitEqualToOneCallPerSet:
             return result.partial_integrals
 
         got = outcome()
-        monkeypatch.setattr(analysis, "_two_level", _oracle_two_level)
+        monkeypatch.setattr(analysis, "_two_level", lambda fn, a, b: _oracle_two_level(
+            fn, a, b, analysis._GAUSS_NODES, analysis._GAUSS_WEIGHTS))
         assert got == outcome()
 
 
@@ -225,8 +226,7 @@ class TestEvaluatorCallCounts:
             return w(z) ** 2
 
         edges = np.linspace(0.5, 30.0, 12)
-        analysis._two_level(fn, edges[:-1], edges[1:],
-                            analysis._GAUSS_NODES, analysis._GAUSS_WEIGHTS)
+        analysis._two_level(fn, edges[:-1], edges[1:])
         assert sizes == [3 * 11 * 10]
 
     def test_non_finite_psi_names_the_first_stencil_point(self, capsys):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import math
 import os
 import signal
@@ -20,6 +21,13 @@ from madelung.errors import DomainError
 import reference_values as ref
 
 
+def render(table):
+    """The text CsvTable.write gives, as one string."""
+    buf = io.StringIO()
+    table.write(buf)
+    return buf.getvalue()
+
+
 def run_cli(capsys, argv):
     try:
         code = main(argv)
@@ -33,17 +41,17 @@ class TestCsvTable:
     def test_round_trip_17_digits(self):
         values = [0.1, 1.0 / 3.0, math.pi, 1e-300, 6.0002282242149123, -2.5e17]
         table = CsvTable(["v"], [values])
-        lines = table.render().strip().split("\n")[1:]
+        lines = render(table).strip().split("\n")[1:]
         for line, v in zip(lines, values):
             assert float(line) == v
 
     def test_sentinel_and_flags(self):
         table = CsvTable(["a", "b", "flag"], [[1.0], [None], ["near_pole"]])
-        assert table.render() == "a,b,flag\n1,,near_pole\n"
+        assert render(table) == "a,b,flag\n1,,near_pole\n"
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
-            CsvTable(["a", "b"], [[1.0]]).render()
+            render(CsvTable(["a", "b"], [[1.0]]))
 
 
 def reference_csv(header, columns):
@@ -89,7 +97,7 @@ class TestCsvWriter:
     def test_matches_reference_at_chunk_edges(self, tmp_path, offset):
         header, cols = self.columns(cli.CHUNK_ROWS + offset)
         expected = reference_csv(header, cols)
-        assert CsvTable(header, cols).render() == expected
+        assert render(CsvTable(header, cols)) == expected
         out = tmp_path / "t.csv"
         emit(CsvTable(header, cols), self.file_config(out))
         assert out.read_bytes() == expected.encode()
@@ -97,7 +105,7 @@ class TestCsvWriter:
     @pytest.mark.parametrize("n", [0, 1, len(SPECIALS)])
     def test_short_tables(self, n):
         header, cols = self.columns(n)
-        assert CsvTable(header, cols).render() == reference_csv(header, cols)
+        assert render(CsvTable(header, cols)) == reference_csv(header, cols)
 
     @pytest.mark.parametrize("n", [cli.CHUNK_ROWS + 300, 2 * cli.CHUNK_ROWS + 1])
     def test_blank_patterns_changing_within_and_across_chunks(self, n):
@@ -121,11 +129,11 @@ class TestCsvWriter:
         equation = [("ode5", "continuity", "euler_x")[i % 3] for i in range(n)]
         header = ["equation", "a", "b", "c", "d"]
         cols = [equation, nums[0], listed, nums[2], nums[3]]
-        assert CsvTable(header, cols).render() == reference_csv(header, cols)
+        assert render(CsvTable(header, cols)) == reference_csv(header, cols)
 
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError):
-            CsvTable(["a", "b"], [[1.0, 2.0], [1.0]]).render()
+            render(CsvTable(["a", "b"], [[1.0, 2.0], [1.0]]))
 
     def test_emit_memory_bounded_by_chunks(self, tmp_path):
         # 2e5 x 2 rows make ~7.9 MB of text; the writer may hold a few
@@ -223,9 +231,9 @@ class TestCsvWriter:
         assert len(bounds) - 1 == min(cpus, nchunks)
         assert all(b % cli.CHUNK_ROWS == 0 for b in bounds[:-1]) and bounds[-1] == nrows
         header, cols = self.boundary_columns(nrows, bounds)
-        expected = self.serial(monkeypatch, CsvTable(header, cols).render)
+        expected = self.serial(monkeypatch, lambda: render(CsvTable(header, cols)))
         assert expected == reference_csv(header, cols)
-        assert CsvTable(header, cols).render() == expected
+        assert render(CsvTable(header, cols)) == expected
         assert len(forks) == len(bounds) - 2
         self.assert_no_children()
 
@@ -239,7 +247,7 @@ class TestCsvWriter:
         for nrows in (below, below + 1):
             header, cols = self.columns(nrows)
             before = len(forks)
-            text = CsvTable(header, cols).render()
+            text = render(CsvTable(header, cols))
             assert len(forks) - before == (nrows > below)
             assert text == reference_csv(header, cols)
         self.assert_no_children()
@@ -257,7 +265,7 @@ class TestCsvWriter:
         try:
             assert cli._part_bounds(nrows) == [0, nrows]
             header, cols = self.columns(nrows)
-            CsvTable(header, cols).render()
+            render(CsvTable(header, cols))
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -387,7 +395,7 @@ class TestFloatText:
         header, cols = ["v"], [np.asarray(values, dtype=float)]
         if text is not None:
             header, cols = ["v", "s"], cols + [np.asarray(text, dtype=str)]
-        assert CsvTable(header, cols).render() == reference_csv(header, cols)
+        assert render(CsvTable(header, cols)) == reference_csv(header, cols)
 
     @given(st.lists(BITS, min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
@@ -481,11 +489,11 @@ class TestLazyImports:
         # the CSV kernel's module, which builds its tables on import, loads
         # with the first table written, so start-up pays for neither; and
         # nothing loads fractions or decimal
-        code = ("import sys\n"
+        code = ("import io, sys\n"
                 "from madelung import cli\n"
                 "mods = ('madelung.csvtext', 'fractions', 'decimal')\n"
                 "print([m for m in mods if m in sys.modules])\n"
-                "cli.CsvTable(['v'], [[0.5]]).render()\n"
+                "cli.CsvTable(['v'], [[0.5]]).write(io.StringIO())\n"
                 "print([m for m in mods if m in sys.modules])\n")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -991,6 +999,7 @@ class TestInputContract:
          "error: q_eq9 is not finite at eta = 0.4\n"),
         (["figure", "fig3", "--m", "1e200"], "error: Q is not finite at eta = 0.05\n"),
         (["figure", "fig3", "--hbar", "1e-200"], "error: Q is not finite at eta = 0.05\n"),
+        (["figure", "fig1", "--c1", "1e200"], "error: f_m1 is not finite at eta = 0.05\n"),
         (["eval", "--field", "Q", "--m", "1e-200"], "error: Q is not finite at eta = 0.1\n"),
         # z ~ 1e-202: the leading series term of J_{-9/4} overflows, which is
         # a non-finite residual, not a stalled series
@@ -1006,7 +1015,8 @@ class TestInputContract:
          "error: ode_system4 residual is not finite at eta = 0.1\n"),
         (["verify", "--which", "all", "--hbar", "1e200"],
          "error: ode5 residual is not finite at eta = 0.1\n"),
-    ], ids=["integrate", "verify", "verify-hbar", "qpotential", "figure", "figure-hbar", "eval",
+    ], ids=["integrate", "verify", "verify-hbar", "qpotential", "figure", "figure-hbar",
+            "fig1-huge-c1", "eval",
             "ode5-tiny-m", "system4-tiny-m", "all-tiny-m",
             "ode5-huge-hbar", "system4-huge-hbar", "all-huge-hbar"])
     def test_huge_or_tiny_mass_and_hbar(self, capsys, argv, line):
@@ -1019,6 +1029,41 @@ class TestInputContract:
         assert (code, err) == (0, "")
         rows = [r.split(",") for r in out.strip().split("\n")[1:] if r[:1].isdigit()]
         assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    @pytest.mark.parametrize("command", [
+        ["figure", "fig1"], ["figure", "fig2"], ["figure", "fig3"],
+        ["eval", "--field", "f"], ["eval", "--field", "Q"], ["eval", "--field", "rho"]],
+        ids=["fig1", "fig2", "fig3", "f", "Q", "rho"])
+    @pytest.mark.parametrize("weight", ["--c1", "--c2"])
+    def test_huge_bessel_weight(self, capsys, command, weight):
+        # exit 3 with one error line, or exit 0 with only finite cells (the
+        # flag column of eval Q holds text, blank off the poles)
+        code, out, err = run_cli(capsys, command + [weight, "1e200"])
+        if code == 3:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            return
+        assert (code, err) == (0, "")
+        header, *lines = out.strip().split("\n")
+        numeric = [i for i, name in enumerate(header.split(",")) if name != "flag"]
+        cells = [line.split(",")[i] for line in lines for i in numeric]
+        assert cells and all(math.isfinite(float(cell)) for cell in cells)
+
+    @pytest.mark.parametrize("argv,option,value", [
+        (["zeros"], "--c2", "-1e-3"),
+        (["eval", "--field", "S", "--y", "2"], "--x", "-1:1:3"),
+        (["eval", "--field", "u", "--x", "3", "--y", "1"], "--c0", "-2.5E+0"),
+        (["eval", "--field", "S", "--y", "2"], "--x", "-.5"),
+    ], ids=["exponent", "range", "upper-exponent", "bare-decimal"])
+    def test_negative_value_in_both_spellings(self, capsys, tmp_path, argv, option, value):
+        # "--c2 -1e-3" is the value -1e-3, as "--c2=-1e-3" is
+        runs = []
+        for i, spelling in enumerate(([option, value], [f"{option}={value}"])):
+            path = tmp_path / f"{i}.csv"
+            code, out, err = run_cli(capsys, argv + spelling)
+            assert run_cli(capsys, argv + spelling + ["--output", str(path)])[0] == code
+            runs.append((code, out, err, path.read_text()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1]
 
     @pytest.mark.parametrize("field", ["f", "Q"])
     def test_eta_underflowing_z_exit_2(self, capsys, field):

@@ -16,22 +16,26 @@ from madelung.core import (
     density,
     lab_field,
     phase,
-    quantum_potential_eq9,
+    quantum_potential_eq9_masked,
     shape_density,
     shape_velocity_split,
     shape_velocity_sum,
     simplified_shape_density,
     velocity,
     wavefunction_canonical,
-    wavefunction_eq8,
 )
-from madelung.errors import DomainError, NonFiniteOutput, SingularityError
+from madelung.errors import DomainError, NonFiniteOutput
 
 import reference_values as ref
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def psi_eq8(x, y, t, params, consts):
+    # the eq. 8 psi at one lab point, through its one array entry
+    return complex(core._psi_eq8(*(np.array([v]) for v in (x, y, t)), params, consts)[0])
 
 
 class TestWBundle:
@@ -226,24 +230,15 @@ class TestWaveFunctions:
         assert abs(w) < 1e-10
 
     def test_eq8_reference(self, params, consts):
-        w = wavefunction_eq8(LabPoint(1.0, 1.0, 1.0), params, consts)
+        w = psi_eq8(1.0, 1.0, 1.0, params, consts)
         assert rel(w.real, ref.PSI_1_1_1[0]) < 1e-10
         assert rel(w.imag, ref.PSI_1_1_1[1]) < 1e-10
         assert abs(w) > 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_eq8_nonfinite_raises(self, consts):
-        # m = 1e300, hbar = 1e-10: the eq. 8 modulus cannot be formed
-        with pytest.raises(NonFiniteOutput,
-                           match="psi_eq8 is not finite at x = 1.0, y = 1.0, t = 1.0"):
-            wavefunction_eq8(LabPoint(1.0, 1.0, 1.0), PhysicalParams(m=1e300, hbar=1e-10),
-                             consts)
-
     def test_eq8_phase_matches_canonical(self, params, consts):
         for (x, y, t) in [(0.5, 0.5, 1.0), (1.0, 1.0, 2.0), (2.0, 1.0, 4.0)]:
-            p = LabPoint(x, y, t)
-            a = wavefunction_eq8(p, params, consts)
-            b = wavefunction_canonical(p, params, consts)
+            a = psi_eq8(x, y, t, params, consts)
+            b = wavefunction_canonical(LabPoint(x, y, t), params, consts)
             diff = cmath.phase(a / b)
             assert abs(diff) < 1e-9
 
@@ -253,23 +248,27 @@ class TestWaveFunctions:
         # by exactly t^(-1/4); measured and frozen as the discrepancy record
         eta = 2.0
         s = eta * math.sqrt(t)
-        p = LabPoint(s / 2, s / 2, t)
-        ratio = (abs(wavefunction_eq8(p, params, consts))
-                 / abs(wavefunction_canonical(p, params, consts)))
+        ratio = (abs(psi_eq8(s / 2, s / 2, t, params, consts))
+                 / abs(wavefunction_canonical(LabPoint(s / 2, s / 2, t), params, consts)))
         assert rel(ratio, t ** -0.25) < 1e-9
+
+
+def q9(eta, params, consts):
+    # Q of eq. 9 at one eta, through the one array entry
+    return float(quantum_potential_eq9_masked(eta, params, consts)[0][0])
 
 
 class TestQuantumPotentialEq9:
     def test_reference_values(self, params, consts):
-        assert rel(quantum_potential_eq9(1.0, params, consts), ref.Q9_AT_1) < 1e-10
-        assert rel(quantum_potential_eq9(2.0, params, consts), ref.Q9_AT_2) < 1e-10
+        assert rel(q9(1.0, params, consts), ref.Q9_AT_1) < 1e-10
+        assert rel(q9(2.0, params, consts), ref.Q9_AT_2) < 1e-10
 
     def test_diverges_at_density_zeros(self, params, consts):
         eta0 = ref.ROOT_ETAS[0]
         mid = 0.5 * (ref.ROOT_ETAS[0] + ref.ROOT_ETAS[1])
-        q_mid = abs(quantum_potential_eq9(mid, params, consts))
+        q_mid = abs(q9(mid, params, consts))
         for side in (-1e-4, 1e-4):
-            q_near = abs(quantum_potential_eq9(eta0 + side, params, consts))
+            q_near = abs(q9(eta0 + side, params, consts))
             assert q_near > 1e3 * q_mid
 
     def test_bracket_sign_change_across_pole(self, params, consts):
@@ -288,12 +287,15 @@ class TestQuantumPotentialEq9:
         assert bracket(eta0 - 1e-5) * bracket(eta0 + 1e-5) < 0.0
 
     def test_exclusion_radius(self, params, consts):
-        with pytest.raises(SingularityError):
-            quantum_potential_eq9(ref.ROOT_ETAS[0], params, consts)
+        # the root itself lies within _Q9_EXCLUSION of the pole: NaN, flagged
+        q, excluded = quantum_potential_eq9_masked(
+            [ref.ROOT_ETAS[0], 1.0], params, consts)
+        assert excluded.tolist() == [True, False]
+        assert math.isnan(q[0]) and math.isfinite(q[1])
 
     def test_rejects_nonpositive_eta(self, params, consts):
         with pytest.raises(DomainError):
-            quantum_potential_eq9(-1.0, params, consts)
+            quantum_potential_eq9_masked(-1.0, params, consts)
 
 
 class TestFiniteParameterRecords:
@@ -394,6 +396,25 @@ class TestLabFieldArray:
         for name in LAB_FIELDS:
             arr = lab_field(name, x, y, t, params, consts).ravel()
             assert [v.hex() for v in arr.tolist()] == [scalar[name](p).hex() for p in points]
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_scalar_api_bit_equal_to_lab_field_at_random_points(self, dimension):
+        # density, velocity and wavefunction_canonical are each one array call
+        rng = np.random.default_rng(dimension)
+        params = PhysicalParams(m=1.3, hbar=0.9, dimension=dimension)
+        consts = SolutionConstants(c1=0.4, c2=-1.2, c0=0.7)
+        n = 60
+        s = rng.uniform(0.05, 15.0, n)
+        y = rng.uniform(-3.0, 3.0, n)
+        x, t = s - y, rng.uniform(0.2, 4.0, n)
+        field = {name: lab_field(name, x, y, t, params, consts).tolist()
+                 for name in ("rho", "u", "v", "psi_re", "psi_im")}
+        for i, p in enumerate(LabPoint(*pt) for pt in zip(x, y, t)):
+            u, v = velocity(p, params, consts)
+            w = wavefunction_canonical(p, params, consts)
+            got = (density(p, params, consts), u, v, w.real, w.imag)
+            want = tuple(field[name][i] for name in ("rho", "u", "v", "psi_re", "psi_im"))
+            assert [g.hex() for g in got] == [f.hex() for f in want]
 
     def test_psi_modulus_squared_is_rho(self, params, consts):
         rho = lab_field("rho", self.XS, self.YS, self.TS, params, consts)

@@ -389,9 +389,9 @@ class TestQuantumPotentialDirect:
             assert abs(val - (-0.125)) / 0.125 < 1e-4
 
     def test_ratio_to_eq9_documented(self, params, consts):
-        from madelung.core import quantum_potential_eq9
+        from madelung.core import quantum_potential_eq9_masked
 
-        ratio = quantum_potential_eq9(1.0, params, consts) / self.kept_value(
+        ratio = quantum_potential_eq9_masked(1.0, params, consts)[0][0] / self.kept_value(
             1.0, params, consts)
         assert 0.58 < ratio < 0.64  # measured systematic discrepancy
 
