@@ -14,9 +14,11 @@ the same variable: with f = (pi^2/64) eta w(z)^2,
 
     int_0^H f deta = pi^2/(128 k) int_0^{k H^2} w(z)^2 dz,    k = m/(4 hbar sqrt(d)),
 
-so panels align naturally with the oscillation arches.  Partial
-integrals are reported together with two competing tail fits
-(a + b ln H versus a - c/H); the verdict is reported, never asserted.
+and w(z)^2 is integrated on fixed panels: z = u^2 on [0, 1], then steps
+of pi/2 in z, half the period of w^2 ~ sin^2, up to z = 800, beyond which
+the tail is done in closed form.  Partial integrals are reported together
+with two competing tail fits (a + b ln H versus a - c/H); the verdict is
+reported, never asserted.
 """
 
 from __future__ import annotations
@@ -52,8 +54,14 @@ __all__ = [
 
 # beyond this z the oscillatory integral is done in closed form (smooth
 # modulus part analytically, oscillation by parts down to a bounded
-# remainder); below it, panels follow the refined zero list
+# remainder); below it, on the panels of _panel_edges
 _TAIL_START = 800.0
+# a quadrature panel is not resolved below this fraction of its own value,
+# where its two-level difference measures rounding: the Bessel kernels'
+# rounding reaches ~4e-14 of w^2 below the series switch (z = 8), and on
+# the acceptance sets a floor of 1e-13 still let panels bisect to the
+# 40-level cap; the checkpoint err carries a 1e-13 rounding term of its own
+_ROUNDING_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -163,11 +171,13 @@ def _scan_mesh(z_lo: float, z_hi: float):
     return len(ends) + mid, take
 
 
-def _refine_brackets(fn, lo, hi, sign_lo, z, width_tol):
+def _refine_brackets(fn, lo, hi, sign_lo, z, width_tol, first=None):
     """Safeguarded Newton refinement of sign-change brackets (vectorized).
 
     fn(z) returns the function and its derivative; sign_lo is the sign of
-    the function at each lo, and z each bracket's starting point.  Each
+    the function at each lo, and z each bracket's starting point.  first,
+    when given, is fn(z) at the starting points, already evaluated, and
+    serves the first step in place of an fn call.  Each
     step evaluates the open brackets at their current points only and
     keeps the side that holds the sign change.  The next point is the
     Newton point when it lies in the bracket, else the midpoint; a Newton
@@ -186,7 +196,8 @@ def _refine_brackets(fn, lo, hi, sign_lo, z, width_tol):
         if len(idx) == 0:
             break
         zi, a, b, half = z[idx], lo[idx], hi[idx], 0.5 * tol[idx]
-        f, fprime = fn(zi)
+        f, fprime = fn(zi) if first is None else (v[idx] for v in first)
+        first = None
         take_hi = sign_lo[idx] * f <= 0.0
         b = np.where(take_hi, zi, b)
         a = np.where(take_hi, a, zi)
@@ -275,8 +286,10 @@ def match_poles(roots: RootSet, params: PhysicalParams,
     quantum potential is -w, so its zeros are the density zeros.  Each
     zero is checked, not assumed: D, and so w, must change sign across
     z_star -+ 0.25, and safeguarded Newton, started at z_star and kept
-    inside that bracket, locates the pole.  Raises UnmatchedRoot when a
-    bracket holds no sign change or a separation exceeds 1e-6.
+    inside that bracket, locates the pole.  One evaluator request gives w
+    at both bracket ends and the first Newton step's w and w' at z_star.
+    Raises UnmatchedRoot when a bracket holds no sign change or a
+    separation exceeds 1e-6.
     """
     if not roots.roots:
         raise DomainError("root set is empty")
@@ -288,14 +301,16 @@ def match_poles(roots: RootSet, params: PhysicalParams,
     # its bracket's lower end at z_star / 2
     lo = np.maximum(z_star - delta, 0.5 * z_star)
     hi = z_star + delta
-    w_lo, w_hi = np.split(_c_fn(consts)(np.concatenate([lo, hi])), 2)
+    newton = _newton_fn(consts)
+    w, w1 = newton(np.concatenate([lo, hi, z_star]))
+    w_lo, w_hi, w_star = np.split(w, 3)
     bad = w_lo * w_hi > 0
     if np.any(bad):
         raise UnmatchedRoot(
             f"no pole bracket near eta = {float(eta_star[bad][0])!r}")
     wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(z_star[0])))
-    z_a, z_b = _refine_brackets(_newton_fn(consts), lo, hi, np.sign(w_lo),
-                                z_star, wtol)
+    z_a, z_b = _refine_brackets(newton, lo, hi, np.sign(w_lo), z_star, wtol,
+                                (w_star, np.split(w1, 3)[2]))
     eta_pole = np.sqrt(0.5 * (z_a + z_b) / k)
     sep = np.abs(eta_pole - eta_star)
     if np.any(sep > 1e-6):
@@ -342,35 +357,40 @@ def _two_level(fn, a, b):
     return fine, np.abs(fine - coarse)
 
 
-def _adaptive_panel(fn, a, b, tol, depth=0):
-    fine, err = _two_level(fn, np.array([a]), np.array([b]))
+def _adaptive_panel(fn, a, b, tol, fine, err, depth=0):
+    """(value, err) of the panel [a, b], whose two-level estimate is (fine,
+    err), bisected until err <= tol, each half to half the tolerance."""
     # a non-finite panel stays so when halved: it is returned for the
     # caller to report as non-finite F
-    if float(err[0]) <= tol or not math.isfinite(float(fine[0])):
-        return float(fine[0]), float(err[0])
+    if err <= tol or not math.isfinite(fine):
+        return fine, err
     if depth >= 40:
         raise ToleranceNotMet(f"panel [{a}, {b}] not resolved to {tol}")
     mid = 0.5 * (a + b)
-    v1, e1 = _adaptive_panel(fn, a, mid, tol / 2, depth + 1)
-    v2, e2 = _adaptive_panel(fn, mid, b, tol / 2, depth + 1)
-    return v1 + v2, e1 + e2
+    total = total_err = 0.0
+    for lo, hi in ((a, mid), (mid, b)):
+        v, e = (float(x[0]) for x in _two_level(fn, np.array([lo]), np.array([hi])))
+        v, e = _adaptive_panel(fn, lo, hi, tol / 2, v, e, depth + 1)
+        total += v
+        total_err += e
+    return total, total_err
 
 
 def _integrate_edges(fn, edges, tol):
     """Adaptive two-level Gauss over consecutive panels; vectorized first pass."""
-    a = edges[:-1]
-    b = edges[1:]
-    fine, err = _two_level(fn, a, b)
+    fine, err = _two_level(fn, edges[:-1], edges[1:])
     total = 0.0
     err_total = 0.0
-    for i in range(len(a)):
-        if err[i] <= tol:
-            total += float(fine[i])
-            err_total += float(err[i])
-        else:
-            v, e = _adaptive_panel(fn, float(a[i]), float(b[i]), tol)
-            total += v
-            err_total += e
+    for a, b, v, e in zip(edges[:-1].tolist(), edges[1:].tolist(),
+                          fine.tolist(), err.tolist()):
+        # bisection cannot resolve a panel below the rounding of its value:
+        # a tolerance under that floor is raised to it, and so is the err
+        floor = _ROUNDING_FLOOR * abs(v)
+        v, e = _adaptive_panel(fn, a, b, max(tol, floor), v, e)
+        if tol < floor:
+            e = max(e, floor)
+        total += v
+        err_total += e
     return total, err_total
 
 
@@ -471,14 +491,23 @@ def _tail_segment(a, b, ends, consts):
     return total, err
 
 
-def _segment_integral(z_a, z_b, zero_edges, ends, consts, tol):
+def _panel_edges(z_hi):
+    """The inner quadrature panel edges below z_hi: z = 1, then steps of pi/2.
+
+    pi/2 is half the period of w^2 ~ sin^2, so a 10-point Gauss panel
+    holds at most about half an arch wherever the edges fall.
+    """
+    return np.arange(1.0, z_hi, 0.5 * math.pi)
+
+
+def _segment_integral(z_a, z_b, panel_edges, ends, consts, tol):
     """Integral of w(z)^2 over [z_a, z_b] split at _TAIL_START."""
     total = 0.0
     err = 0.0
     lo_end = min(z_b, _TAIL_START)
     w = _c_fn(consts)
     if z_a < lo_end:
-        inner = zero_edges[(zero_edges > z_a) & (zero_edges < lo_end)]
+        inner = panel_edges[(panel_edges > z_a) & (panel_edges < lo_end)]
         if z_a == 0.0:
             # substitute z = u^2 on the leading panel: the integrand
             # w(z)^2 ~ z^{-1/2} endpoint behavior becomes smooth
@@ -522,10 +551,10 @@ def integrate_density(upper_limits, params: PhysicalParams,
                       consts: SolutionConstants, tol: float = 1e-9) -> QuadratureResult:
     """Running integral F(H) of the density shape function over (0, H].
 
-    Panels follow the zero list of the oscillating factor up to the
-    asymptotic region and near-arch uniform panels beyond it.  F is
-    evaluated at every requested limit plus internal checkpoints in the
-    last decade of H, which feed the two tail fits.
+    Below z = _TAIL_START, Gauss panels lie on the fixed grid of
+    _panel_edges, split at the checkpoints; beyond it the integral is in
+    closed form.  F is evaluated at every requested limit plus internal
+    checkpoints in the last decade of H, which feed the two tail fits.
     """
     limits = [float(h) for h in upper_limits]
     if not limits or not all(0.0 < h < math.inf for h in limits):
@@ -542,14 +571,7 @@ def integrate_density(upper_limits, params: PhysicalParams,
         if not 0.0 < z < math.inf:
             raise DomainError(f"z = m H^2/(4 hbar sqrt(d)) leaves the float range at H = {h!r}")
     pref = math.pi**2 / (128.0 * k)
-    b_lo, b_hi, sign_lo, start = _bracket_zeros(
-        _c_fn(consts), 1e-8, min(z_cps[-1], _TAIL_START))
-    if len(b_lo):
-        z_a, z_b = _refine_brackets(_newton_fn(consts), b_lo, b_hi, sign_lo,
-                                    start, 1e-10)
-        zero_edges = 0.5 * (z_a + z_b)
-    else:
-        zero_edges = np.empty(0)
+    panel_edges = _panel_edges(min(z_cps[-1], _TAIL_START))
     # every tail segment starts at _TAIL_START or at the checkpoint before it
     tail_z = [z for z in z_cps if z > _TAIL_START]
     ends = _tail_ends(np.array([_TAIL_START] + tail_z), consts) if tail_z else {}
@@ -559,7 +581,7 @@ def integrate_density(upper_limits, params: PhysicalParams,
     at_checkpoints = []
     prev = 0.0
     for z_cp in z_cps:
-        v, e = _segment_integral(prev, z_cp, zero_edges, ends, consts, tol)
+        v, e = _segment_integral(prev, z_cp, panel_edges, ends, consts, tol)
         running += v
         err_running += e
         at_checkpoints.append((running, err_running))

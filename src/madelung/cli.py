@@ -383,9 +383,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     sg = cfg.grids.get("s", core.GridSpec(1.0, 5.0, 21))
     tg = cfg.grids.get("t", core.GridSpec(1.0, 2.0, 7))
 
-    if which in ("ode5", "all"):
+    if which == "all":
+        reports.extend(verify.residual_ode5_and_system4(ode_grid, cfg.params, cfg.consts))
+    if which == "ode5":
         reports.append(verify.residual_ode5(ode_grid, cfg.params, cfg.consts))
-    if which in ("system4", "all"):
+    if which == "system4":
         reports.append(verify.residual_ode_system4(ode_grid, cfg.params, cfg.consts))
     if which in ("pde", "all"):
         reports.extend(verify.residual_pde_lab(sg, tg, cfg.params, cfg.consts,
@@ -480,7 +482,10 @@ _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 @functools.cache
 def _build_parser():
-    # built once per process: parse_args leaves the parser unchanged
+    """The top-level parser and its subparsers by name.
+
+    Built once per process: parsing leaves the parsers unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="madelung",
         description="Self-similar free-particle Madelung fields: evaluate, "
@@ -521,7 +526,7 @@ def _build_parser():
     # pattern (whole integers and decimals only) reads as an option name
     for p in (parser, *subs.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser
+    return parser, subs
 
 
 _COMMANDS = {
@@ -534,8 +539,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, subs = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # reported under the subcommand's usage line, which lists its flags
+        subs[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = build_config(args)
         # overflow and 0/0 become inf/NaN cells, which require_finite turns

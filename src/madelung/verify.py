@@ -32,6 +32,7 @@ from .core import (
     _check_eta,
     _k_const,
     _lab_arrays,
+    _newton_distance,
     _q_prefactor,
     _simplified_shape_density_arr,
     _w_bundle,
@@ -49,6 +50,7 @@ __all__ = [
     "THRESHOLDS",
     "residual_ode5",
     "residual_ode_system4",
+    "residual_ode5_and_system4",
     "residual_pde_lab",
     "residual_schrodinger",
     "residual_phase_gradient",
@@ -106,7 +108,13 @@ def shape_derivatives(eta, params, consts, upto=2):
 
     Chain rule through z = k eta^2 applied to f = (pi^2/64) eta w(z)^2.
     """
-    eta = np.asarray(eta, dtype=float)
+    return _shape_bundle(np.asarray(eta, dtype=float), params, consts, upto)[2]
+
+
+def _shape_bundle(eta, params, consts, upto):
+    # (z, [w, w', ...], [f, f', ...]) through order `upto` from one _w_bundle
+    # call: the f derivatives of shape_derivatives and the w and w' they
+    # are built from, which also give the zero distance
     z = _z_arg(eta, params)
     kconst = _k_const(params)
     ws = _w_bundle(z, consts, upto)
@@ -125,11 +133,19 @@ def shape_derivatives(eta, params, consts, upto=2):
         bprime = 5.0 * w1 * w1 + 5.0 * w * w2 + 2.0 * z * (3.0 * w1 * w2 + w * w3)
         f3 = 4.0 * a * kconst * (b + 2.0 * z * bprime)
         result.append(f3)
-    return result
+    return z, ws, result
 
 
 # ---------------------------------------------------------------------------
 # shape-equation residuals
+
+
+def _ode_bundle(grid, params, consts, upto, name):
+    # (etas, z, ws, fs) of the grid points, which must be positive
+    etas = grid.points()
+    if np.any(etas <= 0):
+        raise DomainError(f"{name} must lie in (0, inf)")
+    return (etas, *_shape_bundle(etas, params, consts, upto))
 
 
 def residual_ode5(grid: GridSpec, params: PhysicalParams,
@@ -140,10 +156,39 @@ def residual_ode5(grid: GridSpec, params: PhysicalParams,
     residual genuinely tests the closed form against the equation instead
     of reproducing it algebraically.
     """
-    etas = grid.points()
-    if np.any(etas <= 0):
-        raise DomainError("ode5 grid must lie in (0, inf)")
-    f, f1, f2 = shape_derivatives(etas, params, consts, upto=2)
+    etas, _, _, fs = _ode_bundle(grid, params, consts, 2, "ode5 grid")
+    return _ode5_report(etas, fs, params)
+
+
+def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
+                         consts: SolutionConstants) -> ResidualReport:
+    """Residuals of the coupled shape-function system under the symmetric split.
+
+    With g = h = (eta - c0)/4 the continuity equation cancels identically
+    for c0 = 0; the two momentum equations share one right-hand side that
+    divides by f and f^3, so points within _ODE_EXCLUSION of a density
+    zero are excluded and counted.
+    """
+    return _ode_system4_report(*_ode_bundle(grid, params, consts, 3, "grid"),
+                               params, consts)
+
+
+def residual_ode5_and_system4(grid: GridSpec, params: PhysicalParams,
+                              consts: SolutionConstants) -> tuple:
+    """(residual_ode5, residual_ode_system4) on one grid, from one evaluation.
+
+    One derivative bundle through the third derivative serves both reports
+    and the zero distance of ode_system4's exclusion.  Every value depends
+    only on its own eta and order, so the reports equal those of the two
+    functions bit for bit.
+    """
+    etas, z, ws, fs = _ode_bundle(grid, params, consts, 3, "ode5 grid")
+    return (_ode5_report(etas, fs, params),
+            _ode_system4_report(etas, z, ws, fs, params, consts))
+
+
+def _ode5_report(etas, fs, params):
+    f, f1, f2 = fs[:3]
     t_curv = 2.0 * f2 * f
     t_grad = f1 * f1
     t_mass = (np.float64(params.m) ** 2 * etas**2 * f * f
@@ -157,19 +202,8 @@ def residual_ode5(grid: GridSpec, params: PhysicalParams,
     return ResidualReport("ode5", pts, float(np.max(np.abs(res))), float(np.max(rel)))
 
 
-def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
-                         consts: SolutionConstants) -> ResidualReport:
-    """Residuals of the coupled shape-function system under the symmetric split.
-
-    With g = h = (eta - c0)/4 the continuity equation cancels identically
-    for c0 = 0; the two momentum equations share one right-hand side that
-    divides by f and f^3, so points within _ODE_EXCLUSION of a density
-    zero are excluded and counted.
-    """
-    etas = grid.points()
-    if np.any(etas <= 0):
-        raise DomainError("grid must lie in (0, inf)")
-    f, f1, f2, f3 = shape_derivatives(etas, params, consts, upto=3)
+def _ode_system4_report(etas, z, ws, fs, params, consts):
+    f, f1, f2, f3 = fs
     gh_sum = shape_velocity_sum(etas, consts)
     g, _ = shape_velocity_split(etas, consts)
     gp = _SPLIT_SLOPE
@@ -192,7 +226,7 @@ def residual_ode_system4(grid: GridSpec, params: PhysicalParams,
         [np.abs(lhs1), np.abs(lhs2), np.abs(lhs3), np.abs(r1), np.abs(r2), np.abs(r3)])
     mom_rel = np.abs(mom_g) / np.maximum(mom_scale, 1e-300)
 
-    dist, _ = _zero_distance(etas, params, consts)
+    dist, _ = _newton_distance(etas, z, ws[0], ws[1])
     excluded = dist < _ODE_EXCLUSION
     require_finite("ode_system4 residual", [cont, np.where(excluded, 0.0, mom_g)], eta=etas)
     mom_rel_m = np.where(excluded, np.nan, mom_rel)

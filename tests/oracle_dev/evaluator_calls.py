@@ -12,9 +12,13 @@ is shown.
 
     python tests/oracle_dev/evaluator_calls.py [--summary] "verify --which all" ...
 
-With no command, it runs the `verify --which all`, `zeros` and `integrate`
-commands of the default parameters.  --summary prints only the summary
-lines.  Times are one cold pass each: run a command twice to see it warm.
+With no command, it runs the six commands that the benchmark's `analyze`
+workload runs per parameter set, at m = c1 = c2 = 1, with a fixed value for
+each limit it draws at random: `verify --which all` and `--which
+qpotential`, `zeros` with 10 and with 1000 roots, and `integrate` on both
+limit lists.  A total line follows the summary lines.  --summary prints
+only the summary and total lines.  Times are one cold pass each: run a
+command twice to see it warm.
 """
 
 import argparse
@@ -30,8 +34,11 @@ sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
 
 from madelung import cli, specfun  # noqa: E402
 
-DEFAULT_COMMANDS = ("verify --which all", "zeros --range 0.1:300 --max-roots 1000",
-                    "integrate --limits 10,100,1000,10000")
+DEFAULT_COMMANDS = tuple(f"{argv} --m 1 --c1 1 --c2 1" for argv in (
+    "verify --which all", "verify --which qpotential",
+    "zeros --range 0.1:300 --max-roots 10", "zeros --range 0.1:300 --max-roots 1000",
+    "integrate --limits 10,31.622776601683793,100,1000,5000,10000",
+    "integrate --limits 10,100,1000,10000,200000,1000000"))
 
 
 def _caller(frame):
@@ -81,6 +88,7 @@ def main():
     ap.add_argument("commands", nargs="*", help="CLI argv strings, one per command")
     ap.add_argument("--summary", action="store_true", help="print only the summary lines")
     args = ap.parse_args()
+    summaries = []  # (calls, points, seconds in _jy, seconds) per command
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.csv")
         for argv in args.commands or DEFAULT_COMMANDS:
@@ -94,6 +102,10 @@ def main():
             in_jy = sum(c[2] for c in calls)
             print(f"{argv}: exit {code}, {len(calls)} _jy calls, {points} points, "
                   f"{1e3 * in_jy:.1f} ms in _jy of {1e3 * seconds:.1f} ms")
+            summaries.append((len(calls), points, in_jy, seconds))
+    calls, points, in_jy, seconds = map(sum, zip(*summaries))
+    print(f"total: {calls} _jy calls, {points} points, "
+          f"{1e3 * in_jy:.1f} ms in _jy of {1e3 * seconds:.1f} ms")
 
 
 if __name__ == "__main__":

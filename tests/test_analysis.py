@@ -17,7 +17,7 @@ from madelung.analysis import (
     match_poles,
 )
 from madelung.core import PhysicalParams, SolutionConstants
-from madelung.errors import DomainError, RangeTooNarrow
+from madelung.errors import DomainError, RangeTooNarrow, UnmatchedRoot
 from madelung.specfun import BesselOrder, bessel_j, bessel_y
 from madelung.verify import GridSpec
 
@@ -214,6 +214,20 @@ class TestMatchPoles:
         with pytest.raises(DomainError):
             match_poles(RootSet(()), params, consts)
 
+    def test_no_sign_change_raises_before_refining(self, params, consts, monkeypatch):
+        # midway between two zeros, w keeps its sign across z_star -+ 0.25:
+        # the check raises before any Newton step, although its evaluator
+        # call also served the first one
+        etas = find_zeros((0.1, 30.0), params, consts, max_roots=3).etas()
+        not_a_zero = RootSet(((0.5 * (etas[1] + etas[2]), 0.0),))
+
+        def refuse(*args):
+            raise AssertionError("refined an unmatched bracket")
+
+        monkeypatch.setattr(analysis, "_refine_brackets", refuse)
+        with pytest.raises(UnmatchedRoot, match="no pole bracket near eta"):
+            match_poles(not_a_zero, params, consts)
+
 
 def regula_falsi_reference(fn, lo, hi, width_tol):
     """Hybrid secant/bisection refinement of sign-change brackets (vectorized).
@@ -248,8 +262,9 @@ def regula_falsi_reference(fn, lo, hi, width_tol):
 
 
 # the bracket sets that analyze refines: the zeros of the eta range
-# (0.1, 300) with 10 and 1000 roots at a z-width of 1e-12, and the
-# panel edges of integrate_density (every zero below z = 800) at 1e-10
+# (0.1, 300) with 10 and 1000 roots at a z-width of 1e-12; and every zero
+# below z = 800 at 1e-10, the panel edges of the zero-aligned quadrature
+# that TestIntegrateDensity compares the fixed panels with
 BRACKET_SETS = {"zeros10": (10, 1e-12), "zeros1000": (1000, 1e-12), "edges": (None, 1e-10)}
 
 
@@ -298,7 +313,9 @@ class TestRefinement:
 
     @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
     def test_evaluations_per_bracket_set(self, m, c1, c2, monkeypatch):
-        # the regula-falsi reference needs 38-46 evaluations of w per set
+        # the regula-falsi reference needs 38-46 evaluations of w per set;
+        # the four sets are the zeros and poles of 10 and 1000 roots, since
+        # integrate_density refines no zeros
         counts = counting_slope_fn(monkeypatch)
         params = PhysicalParams(m=m)
         consts = SolutionConstants(c1=c1, c2=c2)
@@ -306,7 +323,7 @@ class TestRefinement:
             rs = find_zeros((0.1, 300.0), params, consts, max_roots=max_roots)
             match_poles(rs, params, consts)
         integrate_density([10.0, 100.0, 1000.0, 10000.0], params, consts)
-        assert len(counts) == 5
+        assert len(counts) == 4
         assert all(1 <= n <= 8 for n in counts), counts
 
     def test_brackets_close_at_float_spacing(self, params, consts, monkeypatch):
@@ -357,7 +374,70 @@ class TestRootSetInvariants:
             RootSet(((1.0, 1e-3),))
 
 
+# analyze's two limit lists, with a fixed value for each limit that the
+# benchmark draws at random (from 2e3-8e3 and 1e5-5e5)
+ANALYZE_LIMITS = (sorted(ref.F_INTEGRALS) + [5000.0, 1e4],
+                  [10.0, 100.0, 1e3, 1e4, 2e5, 1e6])
+
+
+def zero_aligned_edges(consts):
+    """A stand-in for analysis._panel_edges: the zeros of w below z_hi,
+    refined to a z-width of 1e-10, the panel edges integrate_density used
+    before its fixed grid."""
+    def edges(z_hi):
+        b_lo, b_hi, sign_lo, start = analysis._bracket_zeros(
+            analysis._c_fn(consts), 1e-8, z_hi)
+        if len(b_lo) == 0:
+            return np.empty(0)
+        z_a, z_b = analysis._refine_brackets(analysis._newton_fn(consts), b_lo, b_hi,
+                                             sign_lo, start, 1e-10)
+        return 0.5 * (z_a + z_b)
+    return edges
+
+
 class TestIntegrateDensity:
+    @pytest.mark.parametrize("limits", ANALYZE_LIMITS, ids=("lim4", "lim6"))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
+    def test_fixed_panels_match_zero_aligned_panels(self, m, c1, c2, d, limits,
+                                                    monkeypatch):
+        params = PhysicalParams(m=m, dimension=d)
+        consts = SolutionConstants(c1=c1, c2=c2)
+        fixed = integrate_density(limits, params, consts)
+        monkeypatch.setattr(analysis, "_panel_edges", zero_aligned_edges(consts))
+        aligned = integrate_density(limits, params, consts)
+        for (h, f, _), (h_ref, f_ref, _) in zip(fixed.partial_integrals,
+                                                aligned.partial_integrals):
+            assert h == h_ref
+            assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
+        assert fixed.tail_model.kind == aligned.tail_model.kind
+
+    def test_panel_edges_are_half_periods(self):
+        edges = analysis._panel_edges(analysis._TAIL_START)
+        assert edges[0] == 1.0 and edges[-1] < analysis._TAIL_START
+        np.testing.assert_allclose(np.diff(edges), 0.5 * math.pi, rtol=1e-12)
+        assert len(analysis._panel_edges(1.0)) == 0
+
+    def test_no_zero_is_searched(self, params, consts, monkeypatch):
+        # the panel edges are a fixed grid, not refined zeros
+        def refuse(*args):
+            raise AssertionError("integrate_density searched for zeros")
+
+        for name in ("_bracket_zeros", "_refine_brackets"):
+            monkeypatch.setattr(analysis, name, refuse)
+        integrate_density([10.0, 100.0, 1000.0, 10000.0], params, consts)
+
+    def test_tolerance_below_rounding_floor(self, params, consts):
+        # a panel asked for less than 1e-12 of its own value is held to that
+        # floor, and its err carries it: F(10), which panels alone give
+        # (z = k H^2 < 800), moves by less than its err
+        default = integrate_density([10.0, 100.0], params, consts)
+        tight = integrate_density([10.0, 100.0], params, consts, tol=1e-300)
+        (h, f, err), (_, f_default, err_default) = (
+            r.partial_integrals[0] for r in (tight, default))
+        assert err >= analysis._ROUNDING_FLOOR * f > err_default
+        assert abs(f - f_default) <= err
+
     def test_reference_partial_integrals(self, params, consts):
         limits = sorted(ref.F_INTEGRALS)
         result = integrate_density(limits, params, consts)

@@ -1,13 +1,16 @@
 """One evaluator call per finite-difference stencil and per Gauss level.
 
 The lab residuals evaluate every stencil set of a difference step, and the
-quadrature every node of a two-level Gauss step, in one call.  Each field
-value depends on its own point alone, so the stacked call must give the
-bits of one call per set.  The oracles below are the per-set code these
-functions replaced, kept verbatim; every reduction still runs on the
+quadrature every node of a two-level Gauss step, in one call.  verify's
+two shape-equation reports share one derivative bundle of their grid, and
+match_poles evaluates its sign check and its first Newton step together.
+Each field value depends on its own point alone, so the stacked call must
+give the bits of one call per set.  The oracles below are the per-set code
+these functions replaced, kept verbatim; every reduction still runs on the
 per-set shapes, since matmul is not row-invariant.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +104,23 @@ def _oracle_two_level(fn, a, b, nodes, weights):
     return fine, np.abs(fine - coarse)
 
 
+def _oracle_match_poles(roots, params, consts):
+    # (eta_pole, separation) with the sign check and the Newton refinement
+    # each making their own evaluator calls
+    k = core._k_const(params)
+    eta_star = roots.etas()
+    z_star = k * eta_star * eta_star
+    lo = np.maximum(z_star - 0.25, 0.5 * z_star)
+    hi = z_star + 0.25
+    w_lo, w_hi = np.split(analysis._c_fn(consts)(np.concatenate([lo, hi])), 2)
+    assert not np.any(w_lo * w_hi > 0)
+    wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(z_star[0])))
+    z_a, z_b = analysis._refine_brackets(analysis._newton_fn(consts), lo, hi, np.sign(w_lo),
+                                         z_star, wtol)
+    eta_pole = np.sqrt(0.5 * (z_a + z_b) / k)
+    return eta_pole, np.abs(eta_pole - eta_star)
+
+
 def _bits(arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
@@ -158,21 +178,59 @@ class TestBitEqualToOneCallPerSet:
 
     @pytest.mark.parametrize("m,c1,c2,d", CASES)
     def test_integrate_density_with_bisected_panels(self, m, c1, c2, d, monkeypatch):
-        # at tol 1e-14 _adaptive_panel bisects one-panel calls of _two_level;
-        # for m = 2, c1 = 3, c2 = -1 it gives up, and the message must match
+        # on panels two periods of w^2 wide, _adaptive_panel bisects
+        # one-panel calls of _two_level; should it give up, the message
+        # must match
         params, consts = _case(m, c1, c2, d)
+        monkeypatch.setattr(analysis, "_panel_edges",
+                            lambda z_hi: np.arange(1.0, z_hi, 2.0 * math.pi))
+        sizes = []
 
-        def outcome():
+        def outcome(two_level):
+            def counted(fn, a, b):
+                sizes.append(len(a))
+                return two_level(fn, a, b)
+
+            monkeypatch.setattr(analysis, "_two_level", counted)
             try:
                 result = analysis.integrate_density([10.0, 100.0], params, consts, tol=1e-14)
             except analysis.ToleranceNotMet as exc:
                 return str(exc)
             return result.partial_integrals
 
-        got = outcome()
-        monkeypatch.setattr(analysis, "_two_level", lambda fn, a, b: _oracle_two_level(
+        got = outcome(analysis._two_level)
+        assert sizes.count(1) > 10  # the bisected halves
+        assert got == outcome(lambda fn, a, b: _oracle_two_level(
             fn, a, b, analysis._GAUSS_NODES, analysis._GAUSS_WEIGHTS))
-        assert got == outcome()
+
+    @pytest.mark.parametrize("m,c1,c2,d", CASES)
+    def test_match_poles(self, m, c1, c2, d):
+        params, consts = _case(m, c1, c2, d)
+        for max_roots in (10, 1000):
+            roots = analysis.find_zeros((0.1, 300.0), params, consts, max_roots=max_roots)
+            _, pole, sep = zip(*analysis.match_poles(roots, params, consts).matched_poles)
+            assert _bits((pole, sep)) == _bits(_oracle_match_poles(roots, params, consts))
+
+    @pytest.mark.parametrize("m,c1,c2,d", CASES)
+    def test_ode_reports_from_one_bundle(self, m, c1, c2, d):
+        # against residual_ode5 and residual_ode_system4, each on its own
+        # bundle, and the exclusion mask of core's own zero distance; the
+        # second grid holds the first zero, so points are excluded
+        params, consts = _case(m, c1, c2, d)
+        root = analysis.find_zeros((0.1, 30.0), params, consts, max_roots=1).etas()[0]
+        for grid in (GridSpec(0.1, 50.0, 2000, "log"), GridSpec(root - 5e-6, root + 5e-6, 21)):
+            pair = verify.residual_ode5_and_system4(grid, params, consts)
+            alone = (verify.residual_ode5(grid, params, consts),
+                     verify.residual_ode_system4(grid, params, consts))
+            for got, want in zip(pair, alone):
+                assert got.points.names == want.points.names
+                assert got.points.values.tobytes() == want.points.values.tobytes()
+                assert (got.max_abs, got.max_rel, got.excluded_points, got.extras) == (
+                    want.max_abs, want.max_rel, want.excluded_points, want.extras)
+            dist, _ = core._zero_distance(grid.points(), params, consts)
+            excluded = np.isnan(pair[1].points.column("momentum_g"))
+            np.testing.assert_array_equal(excluded, dist < verify._ODE_EXCLUSION)
+            assert pair[1].excluded_points == np.count_nonzero(excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +251,26 @@ def _spy(monkeypatch, owner, name):
 
 class TestEvaluatorCallCounts:
     def test_verify_all_jy_calls(self, monkeypatch):
-        # ode5 1, ode_system4 2, and per lab report one call per difference
-        # step plus one for the exclusion mask: 1 + 2 + 3 + 3 = 9
+        # one bundle for ode5 and ode_system4 with its exclusion, and per lab
+        # report one call per difference step plus one for the exclusion
+        # mask: 1 + 3 + 3 = 7
         calls = _spy(monkeypatch, specfun, "_jy")
         assert cli.main(["verify", "--which", "all"]) == 3
-        assert len(calls) <= 10
+        assert len(calls) <= 7
+
+    def test_integrate_jy_calls(self, monkeypatch, capsys):
+        # the tail boundaries, the z = u^2 leading panel and one Gauss call
+        # per segment below z = 800: no zero scan, no Newton step
+        calls = _spy(monkeypatch, specfun, "_jy")
+        assert cli.main(["integrate", "--limits", "10,100,1000,1e4"]) == 0
+        assert len(calls) <= 5
+
+    def test_zeros_jy_calls(self, monkeypatch, capsys):
+        # the scan, the Newton steps of the zeros, and the pole checks, whose
+        # sign test and first Newton step share one call
+        calls = _spy(monkeypatch, specfun, "_jy")
+        assert cli.main(["zeros", "--range", "0.1:300", "--max-roots", "10"]) == 0
+        assert len(calls) <= 8
 
     def test_continuity_euler_one_lab_fields_call(self, monkeypatch, params, consts):
         x, y, t = verify._stencil_mesh(SPACE, TIME, 1e-4 + 1e-3, 1e-4)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from madelung import cli, core, specfun
+from madelung import analysis, cli, core, specfun
 from madelung.cli import CsvTable, RunConfig, emit, main, parse_grid
 from madelung.errors import DomainError
 
@@ -762,6 +762,18 @@ class TestIntegrateCommand:
         assert f == pytest.approx(1.0 + math.pi * math.sqrt(2.0) / 8.0 * math.log(1e80), rel=0.02)
 
 
+    def test_tolerance_below_the_rounding_floor(self, capsys):
+        # no panel is bisected below 1e-12 of its own value, where its
+        # two-level difference measures rounding, and err carries that
+        # floor; bisecting to the asked 1e-15 ran to the 40-level cap and
+        # exited 3
+        code, out, err = run_cli(capsys, ["integrate", "--limits", "10,100", "--tol", "1e-15"])
+        assert (code, err) == (0, "")
+        h, f, e = (float(v) for v in out.split("\n")[1].split(","))
+        # z = k H^2 < 800 at H = 10: F(10) is the sum of its panels alone
+        assert h == 10.0 and e >= analysis._ROUNDING_FLOOR * f
+        assert f == pytest.approx(ref.F_INTEGRALS[10.0], abs=1e-9)
+
     @pytest.mark.parametrize("flag", ["--c1", "--c2"])
     def test_overflowing_panel_is_nonfinite_f(self, capsys, flag):
         # w^2 overflows in the first Gauss panel: no bisection can resolve it,
@@ -1191,7 +1203,7 @@ class TestFlagSurface:
 
     @staticmethod
     def parser_flags():
-        [sub] = [a for a in cli._build_parser()._actions
+        [sub] = [a for a in cli._build_parser()[0]._actions
                  if isinstance(a, argparse._SubParsersAction)]
         return {name: {opt for action in p._actions for opt in action.option_strings}
                 - {"-h", "--help"} for name, p in sub.choices.items()}
@@ -1216,3 +1228,10 @@ class TestFlagSurface:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+
+    def test_unknown_flag_is_reported_under_the_subcommand_usage(self, capsys):
+        # the subcommand's usage line lists the flags it does read
+        code, out, err = run_cli(capsys, ["zeros", "--tol", "1e-3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: madelung zeros [-h] ")
+        assert err.endswith("madelung zeros: error: unrecognized arguments: --tol 1e-3\n")

@@ -570,10 +570,13 @@ class TestGoldenDigests:
     that of qpotential --fd-step 0.01 when its all-excluded note changed;
     every CSV held.  The two large eval tables
     were captured before the CSV writer could split a table over forked
-    workers, and hold on either path.  The pde, schrodinger and
-    integrate --tol 1e-14 entries and schrodinger_eq8 were captured on the
-    code that evaluated each stencil set and each Gauss level by its own
-    call, before those calls were stacked.  The digests hold for the
+    workers, and hold on either path.  The pde and schrodinger entries and
+    schrodinger_eq8 were captured on the code that evaluated each stencil
+    set and each Gauss level by its own call, before those calls were
+    stacked.  The three integrate CSVs were captured again when the
+    quadrature moved from panels between refined zeros to fixed pi/2
+    panels with a rounding floor: F moved by at most 12 ulp, err by its
+    own estimate.  The digests hold for the
     numpy build they were captured with (numpy 2.4.6, x86-64): the Bessel
     kernels call numpy's cos, sin and power, whose last bit may differ on
     other builds.
@@ -597,10 +600,10 @@ class TestGoldenDigests:
          "26965b010ef72e057f0f3ebb2fe6dbe3e6c383130ab092f3734bd4e3484db342",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ('integrate --limits 10,100,1000,1e4', 0,
-         "0f416b2ae86313d932d50f633443a93f2fb7400b06de6d16178c15b886fbb8a8",
+         "da03412cad99de72909dffdca5678853a28c85898031c3bdcfb852b7ee9aac28",
          "9fb323159e443ff87083af920c5233c9cf80a8e396d36c4ddeee241879b95162"),
         ('integrate --limits 5,50,500 --m 2 --c1 3 --c2 -1', 0,
-         "b895690c248ba06d91c09743054173e1857e5c0f06b1413e0c9291b780d9b5fe",
+         "87b09e61765e650eea29098e8add674e86c3a50af9a99c34684dac248d570f38",
          "7534d09b5abca4c934374648abb8d627cb752defc534b6d87bbe7ea554ce88b2"),
         ('eval --field f --eta 0.1:20:3001:log', 0,
          "28f5ce29d2d1e2f81ab86e553cc52f35cb0becc663b9a7552d01ad1da5022444",
@@ -665,7 +668,7 @@ class TestGoldenDigests:
          "de4a379e9504af064dfc0a369ab853e13d0c3fccdb2bd457d4e9956a0cd2054b"),
         # the batched stencils and Gauss levels: the lab residuals at the
         # step where truncation, not rounding, sets them, and an integrate
-        # whose panels miss the tolerance and are bisected by _adaptive_panel
+        # whose tolerance lies below every panel's rounding floor
         ('verify --which pde --fd-step 1e-3', 3,
          "7de04491d5418250b6c5779ad250a440a5da0d54d2e1ebca3a8b3fc5f8efe647",
          "8ba698b05e1456c2c7ccaac190433996c6d41160a791ec85b7f740014c09e54c"),
@@ -673,7 +676,7 @@ class TestGoldenDigests:
          "3aad21e8d9d6bc9676292d68e7977c4bb34a545d8a07075c8a1f13d1b1115075",
          "7bc761f21acdca183781581f5017ff2b9677ee799556c3f99ab36e7a9b6f4afe"),
         ('integrate --limits 10,100 --tol 1e-14', 0,
-         "09211318f650fa769b547ef6a63bfe192613a7119a0fbc9079df838f3870ec94",
+         "b8b90c92521f26917f3974dc5cd8187c0ccb436112a1c367144b6e433f27bba0",
          "bdc77325855d3c532d8fb22e2d5ff3ec1ca7c62b7da38c2d1a12928c1ab6c793"),
     ]
 
