@@ -24,10 +24,8 @@ from .errors import (
     PoleError,
     RangeTooNarrow,
     StepTooLarge,
-    StiffnessError,
     ToleranceNotMet,
     UnmatchedRoot,
-    ZeroCrossing,
 )
 from .series import SampleSeries
 from .specfun import (

@@ -19,22 +19,6 @@ class ConvergenceError(MadelungError):
     """Neither evaluation regime can attain the requested accuracy."""
 
 
-class ZeroCrossing(MadelungError):
-    """ODE march reached a zero of the density shape function.
-
-    The partial trajectory accumulated before the crossing is attached
-    as the ``series`` attribute.
-    """
-
-    def __init__(self, message, series=None):
-        super().__init__(message)
-        self.series = series
-
-
-class StiffnessError(MadelungError):
-    """Adaptive step size underflowed the hard floor."""
-
-
 class StepTooLarge(MadelungError):
     """Finite-difference step fails the Richardson consistency check."""
 

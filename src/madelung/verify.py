@@ -3,9 +3,8 @@
 Back-substitution residuals for the reduced shape-function equations
 (with analytic Bessel derivatives), finite-difference residuals for the
 lab-frame fluid equations and for the Schrodinger equation, the phase
-gradient consistency report, a direct-differentiation cross check of the
-quantum potential, and an adaptive Runge-Kutta oracle for the decoupled
-density equation.
+gradient consistency report, and a direct-differentiation cross check of
+the quantum potential.
 
 Relative residuals are measured at each point against the magnitudes of
 the equation's terms, never against their (possibly cancelling) sum: the
@@ -41,7 +40,7 @@ from .core import (
     shape_velocity_split,
     shape_velocity_sum,
 )
-from .errors import DomainError, StepTooLarge, StiffnessError, ZeroCrossing, require_finite
+from .errors import DomainError, StepTooLarge, require_finite
 from .series import SampleSeries
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "residual_pde_lab",
     "residual_schrodinger",
     "residual_phase_gradient",
-    "ode5_oracle_march",
     "quantum_potential_direct",
 ]
 
@@ -270,6 +268,11 @@ def _mesh(space_grid, time_grid):
     return ss * _X_FRACTION, ss * (1.0 - _X_FRACTION), tt
 
 
+def _check_fd_step(fd_step):
+    if not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise DomainError(f"fd_step must be finite and positive, got {fd_step!r}")
+
+
 def _stencil_mesh(space_grid, time_grid, ds, dt):
     # the mesh, refused where a stencil reaching ds along each of x and y,
     # or dt back in t, would leave the domain
@@ -353,9 +356,11 @@ def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
     is a copy of the one Euler residual that euler_x reports, not a second
     evaluation.
 
-    Raises StepTooLarge when halving fd_step changes a residual maximum
-    by more than a factor of 10 (truncation-dominated step).
+    Raises DomainError unless fd_step is finite and positive, and
+    StepTooLarge when halving fd_step changes a residual maximum by more
+    than a factor of 10 (truncation-dominated step).
     """
+    _check_fd_step(fd_step)
     hq = max(fd_step, 1e-3)
     x, y, t = _stencil_mesh(space_grid, time_grid, fd_step + hq, fd_step)
     cont, cs, euler, es = _continuity_euler(x, y, t, params, consts, fd_step, hq)
@@ -416,13 +421,15 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
     step calls psi once, on its whole stencil: (7, n) arrays whose rows are
     the centre and the points shifted by +-fd_step along x, y and t.  psi
     must therefore be pointwise, each value a function of its own (x, y, t)
-    alone, and return an array of the arguments' shape.
+    alone, and return an array of the arguments' shape.  fd_step must be
+    finite and positive (DomainError otherwise).
 
     Richardson ratio: on the 21x7 acceptance grid an exact solution gives
     4 (second-order truncation) at fd_step 1e-3, but at fd_step <~ 1e-4
     the second differences are dominated by rounding, and the ratio then
     measures rounding, not truncation.
     """
+    _check_fd_step(fd_step)
     wavefunction = "canonical" if psi is None else "custom"
     psi = psi or partial(_psi_canonical, params=params, consts=consts)
     x, y, t = _stencil_mesh(space_grid, time_grid, fd_step, fd_step)
@@ -465,101 +472,6 @@ def residual_phase_gradient(space_grid: GridSpec, time_grid: GridSpec,
 
 
 # ---------------------------------------------------------------------------
-# adaptive Runge-Kutta oracle
-
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-
-_STEP_FLOOR = 1e-14
-_ZERO_FLOOR = 1e-12
-
-
-def ode5_oracle_march(eta0: float, eta1: float, params: PhysicalParams,
-                      consts: SolutionConstants, tol: float = 1e-10) -> SampleSeries:
-    """Integrate f'' = ((f')^2 - m^2 eta^2 f^2/(d hbar^2)) / (2 f) numerically.
-
-    Starts from closed-form initial data at eta0 and marches to eta1 with
-    an embedded Dormand-Prince 5(4) pair under PI step-size control.
-    Returns the accepted (eta, f, f') samples.  Raises ZeroCrossing (with
-    the partial trajectory attached) when f drops below 1e-12, and
-    StiffnessError if the step size underflows.
-    """
-    if not (eta0 > 0 and eta1 > eta0):
-        raise DomainError("need 0 < eta0 < eta1")
-    f0, f1 = (float(v[0]) for v in shape_derivatives(
-        np.array([eta0]), params, consts, upto=1))
-    if f0 <= 1e-10:
-        raise DomainError("eta0 is too close to a density zero")
-    if not (math.isfinite(f0) and math.isfinite(f1)):
-        raise DomainError("state must be finite")
-
-    msq = params.m**2 / (params.dimension * params.hbar**2)
-
-    def rhs(eta, state):
-        f, fp = state
-        return np.array([fp, (fp * fp - msq * eta * eta * f * f) / (2.0 * f)])
-
-    def samples():
-        return SampleSeries.from_columns(
-            [(name, [r[i] for r in rows]) for i, name in enumerate(("eta", "f", "f_prime"))])
-
-    eta = eta0
-    y = np.array([f0, f1])
-    rows = [(eta, y[0], y[1])]
-    h = min(1e-3, (eta1 - eta0) / 10.0)
-    err_prev = 1.0
-    k1 = rhs(eta, y)
-    while eta < eta1:
-        h = min(h, eta1 - eta)
-        if h < _STEP_FLOOR * max(1.0, abs(eta)):
-            raise StiffnessError(f"step underflow at eta = {eta!r}")
-        ks = [k1]
-        failed = False
-        for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-            if yi[0] <= 0.0:  # stage left the positive-density region
-                failed = True
-                break
-            ks.append(rhs(eta + _DP_C[i] * h, yi))
-        if failed:
-            h *= 0.5
-            continue
-        y_new = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        err_vec = h * sum(e * k for e, k in zip(_DP_ERR, ks))
-        sc = 1e-14 + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-        if not math.isfinite(err):
-            h *= 0.5
-            continue
-        if err <= 1.0:
-            eta += h
-            y = y_new
-            k1 = ks[6]  # FSAL
-            rows.append((eta, y[0], y[1]))
-            if y[0] < _ZERO_FLOOR:
-                raise ZeroCrossing(f"f crossed zero near eta = {eta!r}", samples())
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
-            err_prev = max(err, 1e-10)
-            h *= min(5.0, max(0.2, fac))
-        else:
-            h *= max(0.2, 0.9 * err ** -0.2)
-    return samples()
-
-
-# ---------------------------------------------------------------------------
 # quantum potential by direct differentiation
 
 
@@ -573,12 +485,14 @@ def quantum_potential_direct(eta, params: PhysicalParams, consts: SolutionConsta
     Compare with quantum_potential_eq9_masked to quantify how far the printed
     closed form is from this reduction.
 
-    Takes positive eta values and returns (q, excluded), shaped like
-    np.atleast_1d(eta), as quantum_potential_eq9_masked does.  A point is
-    excluded, and its q is NaN, if it lies within max(10 fd_step,
-    2 (h1 + 2 h2)) of a density zero or its stencil leaves eta > 0.  Only
-    the kept points are evaluated.
+    Takes positive eta values and a finite positive fd_step (DomainError
+    otherwise) and returns (q, excluded), shaped like np.atleast_1d(eta),
+    as quantum_potential_eq9_masked does.  A point is excluded, and its q
+    is NaN, if it lies within max(10 fd_step, 2 (h1 + 2 h2)) of a density
+    zero or its stencil leaves eta > 0.  Only the kept points are
+    evaluated.
     """
+    _check_fd_step(fd_step)
     eta = np.atleast_1d(_check_eta(eta))
     h2 = 3.0 * fd_step
     h1 = 100.0 * fd_step

@@ -16,6 +16,7 @@ from madelung.specfun import cross_product
 from madelung.verify import GridSpec
 
 import reference_values as ref
+import rk_oracle
 
 PARAMS = PhysicalParams(m=1.0)
 CONSTS = SolutionConstants(c1=1.0, c2=1.0)
@@ -73,7 +74,7 @@ def test_criterion_04_runge_kutta_oracle_equivalence():
                    (ref.ROOT_ETAS[1] + margins, ref.ROOT_ETAS[2] - margins)]
     worst = 0.0
     for eta0, eta1 in arch_bounds:
-        series = verify.ode5_oracle_march(eta0, eta1, PARAMS, CONSTS, tol=1e-10)
+        series = rk_oracle.ode5_oracle_march(eta0, eta1, PARAMS, CONSTS, tol=1e-10)
         f_num = series.column("f")
         f_ref = core.simplified_shape_density(series.column("eta"), PARAMS, CONSTS)
         worst = max(worst, float(np.max(np.abs(f_num - f_ref))

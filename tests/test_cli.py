@@ -655,6 +655,13 @@ class TestVerifyCommand:
         assert header == "eta,q_eq9,q_direct,ratio"
         assert len(rows) == 14 and all(row.endswith(",,,") for row in rows)
 
+    def test_pde_step_too_large_exit_2(self, capsys):
+        # the Richardson guard: at 0.03 the Euler residual is truncation-dominated
+        code, out, err = run_cli(capsys, ["verify", "--which", "pde", "--fd-step", "0.03"])
+        assert (code, out) == (2, "")
+        assert err == ("error: euler residual drops 15.0x on halving fd_step; "
+                       "step too large for the local solution scale\n")
+
     def test_all_aggregates_seven_reports_and_flags_lab_frame(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--which", "all"])
         assert out.count("equation=") == 7

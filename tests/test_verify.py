@@ -3,11 +3,10 @@ import pytest
 
 from madelung import core, verify
 from madelung.core import PhysicalParams, SolutionConstants, lab_field, simplified_shape_density
-from madelung.errors import DomainError, ZeroCrossing
+from madelung.errors import DomainError
 from madelung.verify import (
     GridSpec,
     ResidualReport,
-    ode5_oracle_march,
     quantum_potential_direct,
     residual_ode5,
     residual_ode_system4,
@@ -18,6 +17,7 @@ from madelung.verify import (
 )
 
 import reference_values as ref
+from rk_oracle import ZeroCrossing, ode5_march, ode5_oracle_march, weber_oracle_march
 
 SPACE = GridSpec(1.0, 5.0, 21)
 TIME = GridSpec(1.0, 2.0, 7)
@@ -305,29 +305,13 @@ class TestOdeOracleMarch:
         f0, f1 = (float(v[0]) for v in shape_derivatives(
             np.array([0.5]), params, consts, upto=1))
 
-        def rk4_end(slope):
-            eta = 0.5
-            y = np.array([f0, slope])
-            h = 1e-4
+        def end_deviation(slope):
+            series = ode5_march(0.5, (f0, slope), 2.5, params, tol=1e-10)
+            assert series.column("eta")[-1] == pytest.approx(2.5, abs=1e-12)
+            return abs(series.column("f")[-1] - simplified_shape_density(2.5, params, consts))
 
-            def rhs(e, st):
-                return np.array(
-                    [st[1], (st[1]**2 - e*e*st[0]*st[0]/2.0) / (2*st[0])])
-
-            for _ in range(int((2.5 - 0.5) / h)):
-                k1 = rhs(eta, y)
-                k2 = rhs(eta + h/2, y + h/2*k1)
-                k3 = rhs(eta + h/2, y + h/2*k2)
-                k4 = rhs(eta + h, y + h*k3)
-                y = y + h/6*(k1 + 2*k2 + 2*k3 + k4)
-                eta += h
-            return y[0], eta
-
-        exact_end = simplified_shape_density(2.5, params, consts)
-        clean_end, _ = rk4_end(f1)
-        perturbed_end, _ = rk4_end(f1 * 1.001)
-        clean_dev = abs(clean_end - exact_end)
-        perturbed_dev = abs(perturbed_end - exact_end)
+        clean_dev = end_deviation(f1)
+        perturbed_dev = end_deviation(f1 * 1.001)
         assert perturbed_dev > 100.0 * max(clean_dev, 1e-12)
 
     def test_bad_start_rejected(self, params, consts):
@@ -342,6 +326,20 @@ class TestOdeOracleMarch:
         # c1 = c2 = 1e200: f = (pi^2/64) eta w^2 overflows at eta0
         with pytest.raises(DomainError, match="state must be finite"):
             ode5_oracle_march(0.5, 1.0, params, SolutionConstants(c1=1e200, c2=1e200))
+
+
+class TestWeberOracleMarch:
+    # y'' + q eta^2 y = 0 is regular at the density zeros, so one march from
+    # y = (pi/8) sqrt(eta) w(k eta^2) runs through all of them below eta = 30
+    # (71, 51 and 41 at d = 1, 2, 3); y^2 must stay on f at every step
+    @pytest.mark.parametrize("d,zeros", [(1, 70), (2, 50), (3, 40)])
+    def test_square_tracks_closed_form_through_zeros(self, consts, d, zeros):
+        params = PhysicalParams(m=1.0, dimension=d)
+        series = weber_oracle_march(0.5, 30.0, params, consts, tol=1e-10)
+        y = series.column("y")
+        f = simplified_shape_density(series.column("eta"), params, consts)
+        assert np.count_nonzero(np.diff(np.sign(y)) != 0) >= zeros
+        assert np.max(np.abs(y * y - f)) / np.max(f) <= 1e-10
 
 
 class TestQuantumPotentialDirect:
@@ -414,6 +412,19 @@ class TestQuantumPotentialDirect:
             one, one_excluded = quantum_potential_direct(eta, params, consts)
             assert one_excluded[0] == masked
             assert np.isnan(got) if masked else got.hex() == one[0].hex()
+
+
+@pytest.mark.parametrize("fd_step", [0.0, -1e-4, np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda p, c, h: residual_pde_lab(SPACE, TIME, p, c, fd_step=h),
+    lambda p, c, h: residual_schrodinger(SPACE, TIME, p, c, fd_step=h),
+    lambda p, c, h: quantum_potential_direct(np.linspace(0.4, 3, 14), p, c, fd_step=h),
+], ids=["pde_lab", "schrodinger", "qpotential_direct"])
+def test_bad_fd_step_rejected(params, consts, call, fd_step):
+    # a zero step would give NaN values that pose as kept ones, and a
+    # negative one slips past the stencil-domain guards
+    with pytest.raises(DomainError, match="fd_step must be finite and positive"):
+        call(params, consts, fd_step)
 
 
 class TestResidualReportInvariants:
