@@ -24,7 +24,7 @@ reported, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .core import (
     GridSpec,
     PhysicalParams,
     SolutionConstants,
-    _k_const,
     _lab_arrays,
     _simplified_shape_density_arr,
     _w_bundle,
@@ -261,7 +260,7 @@ def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
         raise DomainError("range must satisfy 0 < lo < hi")
     if max_roots < 0:
         raise DomainError("max_roots must be nonnegative")
-    k = _k_const(params)
+    k = params.k
     b_lo, b_hi, sign_lo, start = _bracket_zeros(
         _c_fn(consts), k * lo * lo, k * hi * hi, max_roots or None)
     if len(b_lo) == 0:
@@ -293,7 +292,7 @@ def match_poles(roots: RootSet, params: PhysicalParams,
     """
     if not roots.roots:
         raise DomainError("root set is empty")
-    k = _k_const(params)
+    k = params.k
     eta_star = roots.etas()
     z_star = k * eta_star * eta_star
     delta = 0.25
@@ -565,7 +564,7 @@ def integrate_density(upper_limits, params: PhysicalParams,
     fit_hs = np.geomspace(hmax / 10.0, hmax, 8)
     checkpoints = sorted(set(limits) | set(fit_hs.tolist()))
 
-    k = _k_const(params)
+    k = params.k
     z_cps = [k * h * h for h in checkpoints]
     for h, z in zip(checkpoints, z_cps):
         if not 0.0 < z < math.inf:
@@ -630,7 +629,7 @@ def figure_series(figure_id: str, params: PhysicalParams,
         etas = g.points()
         cols = [("eta", etas)]
         for mass in _FIG1_MASSES:
-            p = PhysicalParams(m=mass, hbar=params.hbar, dimension=params.dimension)
+            p = replace(params, m=mass)
             label = "f_m" + ("1" if mass == 1.0 else "0p5")
             f = _simplified_shape_density_arr(etas, p, consts)
             require_finite(label, f, eta=etas)

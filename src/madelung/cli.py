@@ -361,6 +361,7 @@ def _qpotential_table(cfg) -> CsvTable:
     # a row is blank unless both columns are kept
     q9s, qds = (np.where(excluded, np.nan, q) for q in (q9s, qds))
     ratio = q9s / qds
+    require_finite("ratio", np.where(excluded, 0.0, ratio), eta=etas)
     ratios = ratio[~np.isnan(ratio)].tolist()
     if ratios:
         print(f"qpotential comparative: eq9/direct ratio in "

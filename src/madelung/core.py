@@ -8,10 +8,10 @@ function is a squared combination of quarter-order Bessel functions,
     f(eta) = 2 (c2 Y_{1/4}(z) - c1 J_{1/4}(z))^2
              / (eta^3 M^2 (J_{-3/4} Y_{1/4} - J_{1/4} Y_{-3/4})^2),
 
-with argument z = sqrt(2) M eta^2 / 8.  M is the mass scale that makes
-the same expression solve the reduced density equation in d = 1, 2 or 3
-dimensions: M = m sqrt(2/d) / hbar, so z = m eta^2 / (4 hbar sqrt(d))
-and M = m at the reference point d = 2, hbar = 1.
+with argument z = sqrt(2) M eta^2 / 8.  The mass scale M = m sqrt(2/d) / hbar
+makes it solve the reduced density equation in d = 1, 2 or 3 dimensions;
+d enters only through M and k = m / (4 hbar sqrt(d)) of z = k eta^2, the
+PhysicalParams properties mass_scale and k.  M = m at d = 2, hbar = 1.
 
 Everything here is a pure function of immutable parameter records; grid
 arguments may be numpy arrays.
@@ -96,6 +96,27 @@ class PhysicalParams:
         if self.dimension not in (1, 2, 3):
             raise DomainError("dimension must be 1, 2 or 3")
 
+    @property
+    def z_scale(self) -> float:
+        """4 hbar sqrt(d), the denominator of z = m eta^2 / z_scale."""
+        return 4.0 * self.hbar * math.sqrt(self.dimension)
+
+    @property
+    def k(self) -> float:
+        """k = m / (4 hbar sqrt(d)) of z = k eta^2."""
+        return self.m / self.z_scale
+
+    @property
+    def mass_scale(self) -> float:
+        """M = m sqrt(2/d) / hbar, so that z = sqrt(2) M eta^2 / 8."""
+        return self.m * math.sqrt(2.0 / self.dimension) / self.hbar
+
+    @property
+    def q_prefactor(self):
+        """hbar^2/(2 m^2) of Q, a numpy float formed on access, so that beyond the
+        float range it is 0 or inf under the caller's np.errstate."""
+        return np.float64(self.hbar) ** 2 / (2.0 * np.float64(self.m) ** 2)
+
 
 @dataclass(frozen=True)
 class SolutionConstants:
@@ -133,22 +154,8 @@ class LabPoint:
 # internal kernels (array capable)
 
 
-def _mass_scale(params: PhysicalParams) -> float:
-    return params.m * math.sqrt(2.0 / params.dimension) / params.hbar
-
-
-def _k_const(params: PhysicalParams) -> float:
-    # k of z = k eta^2; _z_arg keeps its own operation order
-    return params.m / (4.0 * params.hbar * math.sqrt(params.dimension))
-
-
-def _q_prefactor(params: PhysicalParams):
-    # hbar^2/(2 m^2) in numpy floats: 0 or inf, not an error, beyond the float range
-    return np.float64(params.hbar) ** 2 / (2.0 * np.float64(params.m) ** 2)
-
-
 def _z_arg(eta, params: PhysicalParams):
-    z = params.m * eta * eta / (4.0 * params.hbar * math.sqrt(params.dimension))
+    z = params.m * eta * eta / params.z_scale
     # a positive eta whose z underflows would send the Bessel series to 0^nu
     under = (z == 0.0) & (eta != 0.0)
     if np.any(under):
@@ -235,7 +242,7 @@ def _blockwise(kernel, arrays, *args):
 
 def _shape_density_block(eta, params, consts):
     z = _z_arg(eta, params)
-    mm = _mass_scale(params)
+    mm = params.mass_scale
     if not math.isfinite(mm * mm):
         # m beyond ~1e154: the denominator cannot be formed, so f is NaN
         # (the caller reports non-finite f), never an underflowed 0
@@ -394,7 +401,7 @@ def _psi_eq8(x, y, t, params, consts):
     s = x + y
     z = _z_arg(s / np.sqrt(t), params)
     num, cross = _four_bessel_terms(z, consts)
-    modulus = math.sqrt(2.0) * t**0.25 * num / (s**1.5 * _mass_scale(params) * cross)
+    modulus = math.sqrt(2.0) * t**0.25 * num / (s**1.5 * params.mass_scale * cross)
     return modulus * np.exp(1j * _phase(s, t, params))
 
 
@@ -418,7 +425,7 @@ def _q9_block(eta, params, consts):
     # bracket denominator D(z) = c1 J_{1/4} - c2 Y_{1/4} = -w and the
     # analytic eta-derivative of -eta^2 M^2 / (8 D)
     z = _z_arg(eta, params)
-    pref, mm = _q_prefactor(params), _mass_scale(params)
+    pref, mm = params.q_prefactor, params.mass_scale
     if not (0.0 < pref < math.inf and math.isfinite(mm * mm)):
         # hbar^2/(2 m^2) or M^2 outside the float range: Q cannot be formed, so
         # it is NaN with no point excluded, and the caller reports non-finite Q

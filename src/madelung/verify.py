@@ -29,10 +29,8 @@ from .core import (
     PhysicalParams,
     SolutionConstants,
     _check_eta,
-    _k_const,
     _lab_arrays,
     _newton_distance,
-    _q_prefactor,
     _simplified_shape_density_arr,
     _w_bundle,
     _z_arg,
@@ -114,7 +112,7 @@ def _shape_bundle(eta, params, consts, upto):
     # call: the f derivatives of shape_derivatives and the w and w' they
     # are built from, which also give the zero distance
     z = _z_arg(eta, params)
-    kconst = _k_const(params)
+    kconst = params.k
     ws = _w_bundle(z, consts, upto)
     a = _SHAPE_AMPLITUDE
     w, w1 = ws[0], ws[1]
@@ -211,7 +209,7 @@ def _ode_system4_report(etas, z, ws, fs, params, consts):
         [np.abs(0.5 * f), np.abs(0.5 * f1 * etas), np.abs(f1 * gh_sum), np.abs(f * 0.5)])
     cont_rel = np.abs(cont) / np.maximum(cont_scale, 1e-300)
 
-    pref = _q_prefactor(params)
+    pref = params.q_prefactor
     r1 = pref * f1**3 / (2.0 * f**3)
     r2 = -pref * f1 * f2 / (f * f)
     r3 = pref * f3 / (2.0 * f)
@@ -273,12 +271,20 @@ def _check_fd_step(fd_step):
         raise DomainError(f"fd_step must be finite and positive, got {fd_step!r}")
 
 
-def _stencil_mesh(space_grid, time_grid, ds, dt):
-    # the mesh, refused where a stencil reaching ds along each of x and y,
-    # or dt back in t, would leave the domain
+def _check_moves(fd_step, offset, *centres):
+    # an offset that rounds away at some centre would difference a value with itself
+    if any(np.any((c + offset == c) | (c - offset == c)) for c in centres):
+        raise DomainError(f"fd_step {fd_step!r} is below the float spacing of the mesh")
+
+
+def _stencil_mesh(space_grid, time_grid, ds, fd_step):
+    # the mesh, refused where a stencil reaching ds along x and y or fd_step
+    # back in t leaves the domain, or where the Richardson offset fd_step/2 rounds away
+    _check_fd_step(fd_step)
     x, y, t = _mesh(space_grid, time_grid)
-    if np.any(x + y - 2 * ds <= 0) or np.any(t - dt <= 0):
+    if np.any(x + y - 2 * ds <= 0) or np.any(t - fd_step <= 0):
         raise DomainError("finite-difference stencil leaves the domain")
+    _check_moves(fd_step, fd_step / 2.0, x, y, t)
     return x, y, t
 
 
@@ -312,7 +318,7 @@ def _continuity_euler(x, y, t, params, consts, h, hq):
     sq = np.sqrt(rho)
     g = [((sq[i + 1] - 2 * sq[i] + sq[i + 2]) + (sq[i + 3] - 2 * sq[i] + sq[i + 4]))
          / (hq * hq) / sq[i] for i in (6, 11)]
-    q_x = _q_prefactor(params) * (g[0] - g[1]) / (2 * h)
+    q_x = params.q_prefactor * (g[0] - g[1]) / (2 * h)
 
     adv_x = u[16] * u_x
     adv_y = u[16] * u_y
@@ -356,11 +362,10 @@ def residual_pde_lab(space_grid: GridSpec, time_grid: GridSpec,
     is a copy of the one Euler residual that euler_x reports, not a second
     evaluation.
 
-    Raises DomainError unless fd_step is finite and positive, and
-    StepTooLarge when halving fd_step changes a residual maximum by more
-    than a factor of 10 (truncation-dominated step).
+    Raises DomainError unless fd_step is finite, positive and moves every
+    mesh coordinate by fd_step/2, and StepTooLarge when halving fd_step
+    changes a residual maximum by more than 10x (truncation-dominated step).
     """
-    _check_fd_step(fd_step)
     hq = max(fd_step, 1e-3)
     x, y, t = _stencil_mesh(space_grid, time_grid, fd_step + hq, fd_step)
     cont, cs, euler, es = _continuity_euler(x, y, t, params, consts, fd_step, hq)
@@ -420,16 +425,15 @@ def residual_schrodinger(space_grid: GridSpec, time_grid: GridSpec,
     (x, y, t) -> core._psi_eq8(x, y, t, params, consts).  Each difference
     step calls psi once, on its whole stencil: (7, n) arrays whose rows are
     the centre and the points shifted by +-fd_step along x, y and t.  psi
-    must therefore be pointwise, each value a function of its own (x, y, t)
-    alone, and return an array of the arguments' shape.  fd_step must be
-    finite and positive (DomainError otherwise).
+    must be pointwise, each value a function of its own (x, y, t) alone,
+    and return an array of the arguments' shape.  fd_step must be finite,
+    positive and move every mesh coordinate by fd_step/2 (else DomainError).
 
     Richardson ratio: on the 21x7 acceptance grid an exact solution gives
     4 (second-order truncation) at fd_step 1e-3, but at fd_step <~ 1e-4
     the second differences are dominated by rounding, and the ratio then
     measures rounding, not truncation.
     """
-    _check_fd_step(fd_step)
     wavefunction = "canonical" if psi is None else "custom"
     psi = psi or partial(_psi_canonical, params=params, consts=consts)
     x, y, t = _stencil_mesh(space_grid, time_grid, fd_step, fd_step)
@@ -485,12 +489,12 @@ def quantum_potential_direct(eta, params: PhysicalParams, consts: SolutionConsta
     Compare with quantum_potential_eq9_masked to quantify how far the printed
     closed form is from this reduction.
 
-    Takes positive eta values and a finite positive fd_step (DomainError
-    otherwise) and returns (q, excluded), shaped like np.atleast_1d(eta),
-    as quantum_potential_eq9_masked does.  A point is excluded, and its q
-    is NaN, if it lies within max(10 fd_step, 2 (h1 + 2 h2)) of a density
-    zero or its stencil leaves eta > 0.  Only the kept points are
-    evaluated.
+    Takes positive eta values and a finite positive fd_step that moves every
+    kept stencil point (DomainError otherwise) and returns (q, excluded),
+    shaped like np.atleast_1d(eta), as quantum_potential_eq9_masked does.
+    A point is excluded, and its q is NaN, if it lies within max(10 fd_step,
+    2 (h1 + 2 h2)) of a density zero or its stencil leaves eta > 0.  Only
+    the kept points are evaluated.
     """
     _check_fd_step(fd_step)
     eta = np.atleast_1d(_check_eta(eta))
@@ -504,8 +508,9 @@ def quantum_potential_direct(eta, params: PhysicalParams, consts: SolutionConsta
     q = np.full(eta.shape, np.nan)
     kept = ~excluded
     if kept.any():
+        _check_moves(fd_step, h2, pts[1, kept], pts[4, kept])
         root_f = np.sqrt(_simplified_shape_density_arr(pts[:, kept], params, consts))
         w_minus = (root_f[0] - 2 * root_f[1] + root_f[2]) / (h2 * h2) / root_f[1]
         w_plus = (root_f[3] - 2 * root_f[4] + root_f[5]) / (h2 * h2) / root_f[4]
-        q[kept] = _q_prefactor(params) * (w_plus - w_minus) / (2 * h1)
+        q[kept] = params.q_prefactor * (w_plus - w_minus) / (2 * h1)
     return q, excluded

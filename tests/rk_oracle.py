@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from madelung.core import _k_const, _w_bundle, _z_arg
+from madelung.core import _w_bundle, _z_arg
 from madelung.errors import DomainError
 from madelung.series import SampleSeries
 from madelung.verify import shape_derivatives
@@ -154,7 +154,7 @@ def weber_oracle_march(eta0, eta1, params, consts, tol=1e-10):
 
     Returns the accepted (eta, y, y_prime) samples; y^2 is the density shape.
     """
-    kconst = _k_const(params)
+    kconst = params.k
     q = 4.0 * kconst * kconst
     w, w1 = (float(v[0]) for v in _w_bundle(_z_arg(np.array([eta0]), params), consts, upto=1))
     root = math.sqrt(eta0)

@@ -39,7 +39,6 @@ STEPS = (1e-4, 1e-3)
 
 def _oracle_continuity_euler(x, y, t, params, consts, h, hq):
     _lab_fields = verify._lab_fields
-    _q_prefactor = core._q_prefactor
 
     def diffs(dx, dy, dt):
         # central differences of rho, rho u and u along (dx, dy, dt)
@@ -65,7 +64,7 @@ def _oracle_continuity_euler(x, y, t, params, consts, h, hq):
                + (sq(xx, y + hq, t) - 2 * ctr + sq(xx, y - hq, t))) / (hq * hq)
         return lap / ctr
 
-    q_x = _q_prefactor(params) * (g_of(x + h) - g_of(x - h)) / (2 * h)
+    q_x = params.q_prefactor * (g_of(x + h) - g_of(x - h)) / (2 * h)
 
     [u] = _lab_fields(("u",), x, y, t, params, consts)
     adv_x = u * u_x
@@ -107,7 +106,7 @@ def _oracle_two_level(fn, a, b, nodes, weights):
 def _oracle_match_poles(roots, params, consts):
     # (eta_pole, separation) with the sign check and the Newton refinement
     # each making their own evaluator calls
-    k = core._k_const(params)
+    k = params.k
     eta_star = roots.etas()
     z_star = k * eta_star * eta_star
     lo = np.maximum(z_star - 0.25, 0.5 * z_star)

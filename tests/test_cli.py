@@ -1155,6 +1155,22 @@ class TestInputContract:
         assert code == 2
         assert "--fd-step must be finite and positive" in err
 
+    @pytest.mark.parametrize("step", ["1e-300", "1e-17"])
+    @pytest.mark.parametrize("which", ["pde", "schrodinger", "qpotential"])
+    def test_fd_step_that_leaves_a_stencil_point_unmoved_exit_2(self, capsys, which, step):
+        # x + h == x would difference a value with itself: every residual
+        # then read 0 and passed, or a ratio read -inf
+        code, out, err = run_cli(capsys, ["verify", "--which", which, "--fd-step", step])
+        assert (code, out) == (2, "")
+        assert err == f"error: fd_step {step} is below the float spacing of the mesh\n"
+
+    def test_qpotential_nonfinite_ratio_exit_3(self, capsys):
+        # at 1e-15 every stencil point moves, but q_direct rounds to 0 at eta = 1
+        code, out, err = run_cli(capsys, ["verify", "--which", "qpotential",
+                                          "--fd-step", "1e-15"])
+        assert (code, out) == (3, "")
+        assert err == "error: ratio is not finite at eta = 1.0\n"
+
     @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
     def test_nonpositive_tol_exit_2(self, capsys, tol):
         code, _, err = run_cli(capsys, ["integrate", "--limits", "10", "--tol", tol])

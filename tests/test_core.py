@@ -1,6 +1,9 @@
+import ast
 import cmath
 import math
+import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +334,53 @@ class TestFiniteParameterRecords:
     def test_constants_reject_nonfinite(self, kwargs):
         with pytest.raises(DomainError, match="finite"):
             SolutionConstants(**kwargs)
+
+
+class TestSimilarityConstants:
+    # (m, hbar): the masses of the five acceptance sets, and one hbar != 1
+    CASES = [(m, hbar, d) for m, hbar in ((1.0, 1.0), (0.5, 1.0), (2.0, 1.0), (1.5, 0.7))
+             for d in (1, 2, 3)]
+
+    @pytest.mark.parametrize("m,hbar,d", CASES)
+    def test_properties_bit_equal_to_their_formulas(self, m, hbar, d):
+        p = PhysicalParams(m=m, hbar=hbar, dimension=d)
+        assert p.z_scale == 4.0 * hbar * math.sqrt(d)
+        assert p.k == m / (4.0 * hbar * math.sqrt(d))
+        assert p.mass_scale == m * math.sqrt(2.0 / d) / hbar
+        assert p.q_prefactor == np.float64(hbar) ** 2 / (2.0 * np.float64(m) ** 2)
+
+    @pytest.mark.parametrize("m,hbar,d", CASES)
+    def test_z_arg_bit_equal_to_its_formula(self, m, hbar, d):
+        # the 14 eta of the qpotential table
+        eta = np.linspace(0.4, 3.0, 14)
+        z = core._z_arg(eta, PhysicalParams(m=m, hbar=hbar, dimension=d))
+        assert z.tobytes() == (m * eta * eta / (4.0 * hbar * math.sqrt(d))).tobytes()
+
+    def test_out_of_range_constants_build_without_warning(self):
+        # each constant is formed on access, so M and hbar^2/(2 m^2) overflow
+        # only where a caller reads them, under its own np.errstate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = PhysicalParams(m=1e200, hbar=1e-200)
+        with np.errstate(over="ignore"):
+            assert (p.mass_scale, p.q_prefactor) == (math.inf, 0.0)
+
+    def test_dimension_enters_only_through_physical_params(self):
+        # a sqrt of the dimension outside PhysicalParams is a second copy of
+        # a similarity constant
+        inside, outside = [], []
+        for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            home = range(0)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name == "PhysicalParams":
+                    home = range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and "sqrt" in ast.unparse(node.func)
+                        and "dimension" in ast.unparse(node)):
+                    where = f"{path.name}:{node.lineno}"
+                    (inside if node.lineno in home else outside).append(where)
+        assert inside and outside == []
 
 
 class TestLabFieldArray:
