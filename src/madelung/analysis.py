@@ -1,16 +1,18 @@
 """Zeros of the density, pole matching, and integrability analysis.
 
-Root finding works in the Bessel argument z = m eta^2 / (4 hbar sqrt(d)),
-where the zeros of the numerator factor w = c2 Y_{1/4} - c1 J_{1/4} are
-asymptotically pi-spaced, and maps the results back to eta.  Sign-change
-brackets from a scan are refined together by safeguarded Newton with the
-analytic derivative w' = c2 Y_{-3/4} - c1 J_{-3/4} - w/(4z) of core's w
-bundle, the same w' as the quantum potential's; one evaluator request
-gives w and w', and a set of brackets takes about five evaluations.  The
-potential's bracket denominator D = c1 J_{1/4} - c2 Y_{1/4} is -w, so
-pole matching runs the same Newton on w from each zero it checks.  The
-quadrature for the running integral of the density shape function uses
-the same variable: with f = (pi^2/64) eta w(z)^2,
+Root finding works in the Bessel argument z = m eta^2 / (4 hbar sqrt(d)).
+With J_{1/4} = M cos theta and Y_{1/4} = M sin theta (DLMF 10.18), the
+numerator factor w = c2 Y_{1/4} - c1 J_{1/4} is R M sin(theta - phi), so
+its zeros are the z with theta(z) = phi + n pi: the phase at the range
+ends gives every n in between, and one vectorized Newton on theta, with
+the exact 1/theta' = pi z M^2/2, finds them all in about five evaluator
+requests.  The potential's bracket denominator D = c1 J_{1/4} - c2 Y_{1/4}
+is -w, so pole matching checks each zero by another method: safeguarded
+Newton on w, with the analytic derivative w' = c2 Y_{-3/4} - c1 J_{-3/4}
+- w/(4z) of core's w bundle (the same w' as the quantum potential's),
+refines a sign-change bracket around it.  The quadrature for the running
+integral of the density shape function uses the same variable: with
+f = (pi^2/64) eta w(z)^2,
 
     int_0^H f deta = pi^2/(128 k) int_0^{k H^2} w(z)^2 dz,    k = m/(4 hbar sqrt(d)),
 
@@ -67,7 +69,8 @@ _ROUNDING_FLOOR = 1e-12
 class RootSet:
     """Located density zeros and (optionally) matched quantum-potential poles.
 
-    roots: ordered (eta_star, bracket_width) pairs.
+    roots: ordered (eta_star, width) pairs; width bounds the root's error
+        in eta by its last Newton step.
     matched_poles: (eta_star, q_pole_eta, separation) triples.
     """
 
@@ -79,7 +82,7 @@ class RootSet:
         if any(b <= a for a, b in zip(etas, etas[1:])):
             raise DomainError("roots must be strictly increasing")
         if any(r[1] > 1e-10 for r in self.roots):
-            raise DomainError("bracket width above 1e-10 after refinement")
+            raise DomainError("root width above 1e-10 after refinement")
         object.__setattr__(self, "roots", tuple(tuple(r) for r in self.roots))
         object.__setattr__(self, "matched_poles",
                            tuple(tuple(p) for p in self.matched_poles))
@@ -118,56 +121,19 @@ class QuadratureResult:
 
 
 def _c_fn(consts):
-    # w(z) for the zero scans, the pole checks and the quadrature
+    # w(z) for the quadrature
     def fn(z):
         return _w_bundle(np.asarray(z, dtype=float), consts)[0]
     return fn
 
 
 def _newton_fn(consts):
-    # (w, w') for the Newton refinement of zeros and poles
+    # (w, w') for the Newton refinement of the poles
     return lambda z: _w_bundle(z, consts, upto=1)
 
 
 # ---------------------------------------------------------------------------
-# bracketing and refinement
-
-
-def _scan_mesh(z_lo: float, z_hi: float):
-    """The scan mesh, as its size and a function take(i, j) of its points i to j - 1.
-
-    A fine geometric mesh below z = 1 (at most one or two zeros live there),
-    then pi/4 steps (zeros are simple and asymptotically pi-spaced), then
-    z_hi.  The steps, np.arange(start, z_hi, pi/4) by numpy's fill rule
-    start + i ((start + pi/4) - start), are made only where take asks, so a
-    capped scan never builds the whole mesh.  Raises DomainError where pi/4
-    is below the float spacing at z_hi.
-    """
-    step = math.pi / 4.0
-    if not np.spacing(z_hi) <= step:
-        raise DomainError(f"z = {z_hi:.6g} is too large to scan in float steps of pi/4")
-    lo = max(z_lo, 1e-8)
-    start = max(lo, 1.0)
-    delta = (start + step) - start
-    n = math.ceil((z_hi - start) / step) if start < z_hi else 0  # np.arange's length
-
-    def steps(i, j):
-        return start + np.arange(i, j) * delta
-
-    # the geometric part, the first and last two steps (which may round up to
-    # z_hi) and z_hi, sorted, without repeats (np.unique would import
-    # numpy.ma); steps m0 to m1 - 1 lie between its points a - 1 and a
-    m0, m1 = min(n, 1), max(min(n, 1), n - 2)
-    ends = np.sort(np.concatenate([np.geomspace(lo, min(1.0, z_hi), 48) if lo < 1.0 else [],
-                                   steps(0, m0), steps(m1, n), [z_hi]]))
-    ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
-    a, mid = int(np.searchsorted(ends, start + m0 * delta)), m1 - m0
-    k = a - m0  # the mesh index of step 0
-
-    def take(i, j):
-        return np.concatenate([ends[i:min(j, a)], steps(max(i, a) - k, min(j, a + mid) - k),
-                               ends[max(i - mid, a):max(j - mid, a)]])
-    return len(ends) + mid, take
+# zeros and poles
 
 
 def _refine_brackets(fn, lo, hi, sign_lo, z, width_tol, first=None):
@@ -209,51 +175,37 @@ def _refine_brackets(fn, lo, hi, sign_lo, z, width_tol, first=None):
     return lo, hi
 
 
-def _bracket_zeros(fn, z_lo, z_hi, max_brackets=None):
-    """Sign-change brackets of fn between adjacent scan-mesh points.
+def _bessel_phase(z):
+    """(a, T, 1/theta') of the Bessel phase theta of order 1/4 at z (DLMF 10.18).
 
-    Returns the bracket ends lo and hi, the sign of fn at lo and the
-    regula-falsi point of the two scan values, which starts the
-    refinement.  With max_brackets, the mesh is scanned in consecutive
-    windows that share their boundary point, and the scan stops once that
-    many are found.
+    theta = a + pi T with a = atan2(Y_{1/4}, J_{1/4}) and T the even integer
+    that puts theta within pi/8 below z - 3 pi/8, where it lies for every
+    z > 0; 1/theta' = pi z (J^2 + Y^2)/2 exactly, from the Wronskian.
     """
-    size, take = _scan_mesh(z_lo, z_hi)
-    last = size - 1
-    los, his, signs, starts = ([np.empty(0)] for _ in range(4))
-    found = start = 0
-    while start < last and (max_brackets is None or found < max_brackets):
-        stop = last
-        if max_brackets is not None:
-            # four mesh steps per pi-spaced zero, plus 16 zeros to spare
-            stop = min(last, start + 4 * (max_brackets - found) + 64)
-        window = take(start, stop + 1)
-        vals = fn(window)
-        sign = np.sign(vals)
-        change = sign[:-1] * sign[1:] < 0
-        hit = vals[:-1] == 0.0
-        idx = np.where(change | hit)[0]
-        a, b, fa, fb = window[idx], window[idx + 1], vals[idx], vals[idx + 1]
-        los.append(a)
-        his.append(b)
-        signs.append(np.sign(fa))
-        starts.append(a + (b - a) * (fa / (fa - fb)))
-        found += len(idx)
-        start = stop
-    return tuple(np.concatenate(p)[:max_brackets] for p in (los, his, signs, starts))
+    j, y = specfun._jy(z, [("J", 0.25, 0), ("Y", 0.25, 0)])
+    a = np.arctan2(y, j)
+    t = 2.0 * np.round((z - 0.375 * math.pi - a) / (2.0 * math.pi))
+    return a, t, 0.5 * math.pi * z * (j * j + y * y)
+
+
+# the most roots one find_zeros call returns (~660 bytes each at its peak)
+_MAX_ROOT_COUNT = 10_000_000
 
 
 def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
                max_roots: int = 10) -> RootSet:
     """Locate zeros of the density shape function on an eta range.
 
-    Scans sign changes of w = c2 Y_{1/4}(z) - c1 J_{1/4}(z) on a z mesh,
-    refines each bracket by safeguarded Newton with the analytic w' to a
-    z-width of at most 1e-12 (or two float spacings, where those are
-    wider) and converts the roots back to eta.  max_roots = 0 sets no cap:
-    every zero in the range is returned (51 on eta 0.1-30 at m = 1,
-    c1 = c2 = 1).  Raises RangeTooNarrow when roots were requested but no
-    sign change lies in the range.
+    w = c2 Y_{1/4}(z) - c1 J_{1/4}(z) = R M sin(theta - phi) with
+    phi = atan2(c1, c2), so its zeros are the z with theta(z) = phi + n pi,
+    and theta at the range ends gives their n.  Newton on theta, started at
+    z = phi + n pi + 3 pi/8 (left of the root, as theta <= z - 3 pi/8),
+    climbs monotonically, theta being increasing and concave, until its
+    step is at most 1e-12 in z (or two float spacings, where wider); the
+    width is that step in eta.  max_roots = 0 sets no cap (51 roots on eta
+    0.1-30 at m = 1, c1 = c2 = 1).  Raises RangeTooNarrow when roots were
+    requested but none lies in the range, and DomainError when more than
+    _MAX_ROOT_COUNT would be returned.
     """
     lo, hi = float(range_eta[0]), float(range_eta[1])
     if not (0.0 < lo < hi):
@@ -261,20 +213,38 @@ def find_zeros(range_eta, params: PhysicalParams, consts: SolutionConstants,
     if max_roots < 0:
         raise DomainError("max_roots must be nonnegative")
     k = params.k
-    b_lo, b_hi, sign_lo, start = _bracket_zeros(
-        _c_fn(consts), k * lo * lo, k * hi * hi, max_roots or None)
-    if len(b_lo) == 0:
+    # z = 0 is a branch point: an underflowing lower end is the smallest normal
+    z_lo, z_hi = max(k * lo * lo, np.finfo(float).tiny), k * hi * hi
+    if not np.spacing(z_hi) <= math.pi / 4.0:
+        raise DomainError(f"z = {z_hi:.6g} is too large to scan: float cannot resolve "
+                          "zeros pi apart there")
+    phi = math.atan2(consts.c1, consts.c2)
+    a, t, _ = _bessel_phase(np.array([z_lo, z_hi]))
+    below, last = (np.floor((a - phi) / math.pi) + t).tolist()
+    count = int((min(last, below + max_roots) if max_roots else last) - below)
+    if count <= 0:
         if max_roots > 0:
             raise RangeTooNarrow(f"no density zero inside eta range ({lo}, {hi})")
         return RootSet(())
+    if count > _MAX_ROOT_COUNT:
+        raise DomainError(f"eta range ({lo}, {hi}) holds {count} density zeros, more than "
+                          f"{_MAX_ROOT_COUNT} in one run; cap them with --max-roots")
+    n = below + 1.0 + np.arange(count)
+    z = np.maximum(phi + n * math.pi + 0.375 * math.pi, z_lo)
     # keep the eta-width at or below 1e-10 even for small k
-    wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(b_lo[0])))
-    z_a, z_b = _refine_brackets(_newton_fn(consts), b_lo, b_hi, sign_lo,
-                                start, wtol)
-    z_star = 0.5 * (z_a + z_b)
-    eta_star = np.sqrt(z_star / k)
-    widths = (z_b - z_a) / (2.0 * np.sqrt(k * z_star))
-    return RootSet(tuple(zip(eta_star.tolist(), widths.tolist())))
+    wtol = min(1e-12, 1e-10 * 2.0 * math.sqrt(k * float(z[0])))
+    step, idx = np.zeros(count), np.arange(count)
+    for _ in range(80):
+        zi = z[idx]
+        a, t, inv_slope = _bessel_phase(zi)
+        # theta - (phi + n pi) with t - n formed first: no large multiple of pi
+        s = -((a - phi) + math.pi * (t - n[idx])) * inv_slope
+        z[idx], step[idx] = zi + s, s
+        idx = idx[np.abs(s) > np.maximum(wtol, 2.0 * np.spacing(z[idx]))]
+        if len(idx) == 0:
+            break
+    widths = np.abs(step) / (2.0 * np.sqrt(k * z))
+    return RootSet(tuple(zip(np.sqrt(z / k).tolist(), widths.tolist())))
 
 
 def match_poles(roots: RootSet, params: PhysicalParams,

@@ -29,6 +29,19 @@ ACCEPTANCE_SETS = ((1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 0.0),
                    (1.0, 0.0, 1.0), (2.0, 3.0, -1.0))
 
 
+def jy_points(monkeypatch):
+    """Patch specfun._jy; returns the list of the points of each call."""
+    points = []
+    real = specfun._jy
+
+    def counting(z, wanted):
+        points.append(np.size(z))
+        return real(z, wanted)
+
+    monkeypatch.setattr(specfun, "_jy", counting)
+    return points
+
+
 class TestFindZeros:
     def test_first_twelve_roots(self, params, consts):
         rs = find_zeros((0.1, 30.0), params, consts, max_roots=12)
@@ -91,47 +104,17 @@ class TestFindZeros:
         spacings = np.diff(etas)
         assert np.all(np.diff(spacings) < 0.0)
 
+    def test_lower_end_whose_z_underflows(self, params, consts):
+        # k * lo^2 rounds to 0, where J_{-1/4} is infinite; the phase there is
+        # the limit -pi/2, and the roots are those of any small lower end
+        tiny = find_zeros((1e-170, 30.0), params, consts, max_roots=3).roots
+        assert tiny == find_zeros((0.1, 30.0), params, consts, max_roots=3).roots
+
     def test_bad_range(self, params, consts):
         with pytest.raises(DomainError):
             find_zeros((-1.0, 2.0), params, consts)
         with pytest.raises(DomainError):
             find_zeros((3.0, 2.0), params, consts)
-
-    @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
-    @pytest.mark.parametrize("eta_hi,max_brackets", [(30.0, 1), (30.0, 10), (300.0, 10),
-                                                     (300.0, 1000), (300.0, None)])
-    def test_windowed_scan_equals_full_mesh_scan(self, m, c1, c2, eta_hi, max_brackets):
-        params = PhysicalParams(m=m)
-        consts = SolutionConstants(c1=c1, c2=c2)
-        k = m / (4.0 * SQ2)
-        z_lo, z_hi = k * 0.1**2, k * eta_hi**2
-        fn = analysis._c_fn(consts)
-        # the scan as a single evaluation of the whole mesh
-        size, take = analysis._scan_mesh(z_lo, z_hi)
-        mesh = take(0, size)
-        vals = fn(mesh)
-        sign = np.sign(vals)
-        idx = np.where((sign[:-1] * sign[1:] < 0) | (vals[:-1] == 0.0))[0][:max_brackets]
-        b_lo, b_hi, sign_lo, start = analysis._bracket_zeros(fn, z_lo, z_hi, max_brackets)
-        assert np.array_equal(b_lo, mesh[idx]) and np.array_equal(b_hi, mesh[idx + 1])
-        assert np.array_equal(sign_lo, sign[idx])
-        assert np.all((b_lo <= start) & (start < b_hi))
-        assert max_brackets is None or len(b_lo) == max_brackets
-
-    @pytest.mark.parametrize("z_lo,z_hi", [(1e-3, 0.5), (1e-9, 1.0), (0.01, 1.0), (0.2, 40.0),
-                                           (2.0, 300.0), (1.5, 1.6)])
-    def test_scan_mesh_equals_np_unique(self, z_lo, z_hi):
-        # the geometric part below z = 1 ends on z_hi or on 1.0, which the
-        # pi/4 steps may start from: repeats are dropped as np.unique does
-        lo = max(z_lo, 1e-8)
-        parts = [np.array([z_hi])]
-        if lo < 1.0:
-            parts.append(np.geomspace(lo, min(1.0, z_hi), 48))
-        if max(lo, 1.0) < z_hi:
-            parts.append(np.arange(max(lo, 1.0), z_hi, math.pi / 4.0))
-        expected = np.unique(np.concatenate(parts))
-        size, take = analysis._scan_mesh(z_lo, z_hi)
-        assert take(0, size).tobytes() == expected.tobytes()
 
     def test_zeros_does_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on its first call (~13 ms), which every
@@ -148,8 +131,8 @@ class TestFindZeros:
 
     @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
     def test_first_roots_do_not_depend_on_the_cap(self, m, c1, c2):
-        # every value of w depends on its own z alone, so each bracket is
-        # refined the same way whatever other brackets share its evaluations
+        # every value of the phase depends on its own z alone, so each root
+        # takes the same Newton steps whatever other roots share its evaluations
         params = PhysicalParams(m=m)
         consts = SolutionConstants(c1=c1, c2=c2)
         first = [(eta.hex(), w.hex())
@@ -160,24 +143,83 @@ class TestFindZeros:
             n = min(cap or 10, 10)
             assert [(eta.hex(), w.hex()) for eta, w in roots[:n]] == first[:n], cap
 
-    def test_scan_stops_once_max_roots_are_bracketed(self, params, consts, monkeypatch):
-        # the (0.1, 3000) eta range holds ~2e6 mesh points in z
-        points = []
-        real = analysis._c_fn
-
-        def counting(consts):
-            fn = real(consts)
-
-            def wrapped(z):
-                points.append(np.size(z))
-                return fn(z)
-            return wrapped
-
-        monkeypatch.setattr(analysis, "_c_fn", counting)
+    def test_capped_search_evaluates_only_its_roots(self, params, consts, monkeypatch):
+        # the (0.1, 3000) eta range holds ~5e5 zeros; ten of them take the
+        # phase at the two range ends and a few Newton steps on ten points
+        points = jy_points(monkeypatch)
         rs = find_zeros((0.1, 3000.0), params, consts, max_roots=10)
         for (eta, _), expected in zip(rs.roots, ref.ROOT_ETAS):
             assert abs(eta - expected) < 1e-9
-        assert sum(points) < 2000
+        assert len(points) <= 8 and sum(points) <= 100, points
+
+
+def unwrapped_phase(z):
+    """The Bessel phase theta of order 1/4 on an increasing z mesh, unwrapped
+    from atan2(Y, J) by numpy (needs steps in theta below pi), and
+    z (J^2 + Y^2)."""
+    j, y = specfun._jy(z, [("J", 0.25, 0), ("Y", 0.25, 0)])
+    theta = np.unwrap(np.arctan2(y, j))
+    assert -0.5 * math.pi < theta[0] < 0.0  # theta(0+) = -pi/2, the branch of a small z
+    return theta, z * (j * j + y * y)
+
+
+class TestBesselPhase:
+    """The facts find_zeros rests on, measured independently of it."""
+
+    def test_phase_below_its_asymptote_and_concave(self):
+        # theta - (z - 3 pi/8) lies in [-pi/8, 0], which fixes the branch of
+        # atan2 in _bessel_phase; z M^2 increases, so theta' = 2/(pi z M^2)
+        # decreases and Newton from the left never overshoots
+        z = np.concatenate([np.geomspace(1e-12, 1.0, 200)[:-1],
+                            np.arange(1.0, 5e3, math.pi / 8.0)])
+        theta, z_m2 = unwrapped_phase(z)
+        gap = theta - (z - 0.375 * math.pi)
+        assert np.all((-0.125 * math.pi <= gap) & (gap <= 0.0))
+        assert np.all(np.diff(z_m2) > 0.0)
+        a, t, _ = analysis._bessel_phase(z)
+        np.testing.assert_allclose(a + math.pi * t, theta, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
+    def test_count_is_the_phase_floor_difference(self, m, c1, c2, d):
+        # the zeros of w = R M sin(theta - phi) in (z_lo, z_hi] number
+        # floor((theta_hi - phi)/pi) - floor((theta_lo - phi)/pi), and as
+        # many sign changes of w lie on a plain scan mesh
+        params = PhysicalParams(m=m, dimension=d)
+        consts = SolutionConstants(c1=c1, c2=c2)
+        k = params.k
+        mesh = scan_mesh(k * 0.1**2, k * 300.0**2)
+        theta, _ = unwrapped_phase(mesh)
+        phi = math.atan2(c1, c2)
+        floors = np.floor((theta[[0, -1]] - phi) / math.pi)
+        w = analysis._c_fn(consts)(mesh)
+        changes = np.count_nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)
+        count = len(find_zeros((0.1, 300.0), params, consts, max_roots=0).roots)
+        assert count == floors[1] - floors[0] == changes
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
+    def test_roots_obey_sturm_bounds(self, m, c1, c2, d):
+        # U = sqrt(eta) w(k eta^2) solves U'' + (2 k eta)^2 U = 0 exactly at
+        # order 1/4, so Sturm comparison bounds the gap after every point:
+        # 2 k eta_n (eta_{n+1} - eta_n) <= pi, with the range ends as points
+        # too, so no zero is missed; and pi <= 2 k eta_{n+1} (eta_{n+1} - eta_n)
+        # between zeros, so none is spurious
+        params = PhysicalParams(m=m, dimension=d)
+        k = params.k
+        roots = find_zeros((0.1, 300.0), params, SolutionConstants(c1=c1, c2=c2),
+                           max_roots=0).etas()
+        pts = np.concatenate([[0.1], roots, [300.0]])
+        assert np.all(2.0 * k * pts[:-1] * np.diff(pts) <= math.pi)
+        gaps = np.diff(roots)
+        assert np.all(math.pi <= 2.0 * k * roots[1:] * gaps)
+        # deleting any root breaks the upper bound of its merged gap, where
+        # the root before it lies at z >= 1; below, 2 k eta is too low a
+        # frequency to see it (the second root of (2, 3, -1), whose
+        # neighbour lies at z = 0.136), and the count test holds those
+        left = roots[:-2]
+        merged = 2.0 * k * left * (roots[2:] - left)
+        assert np.all(merged[k * left * left >= 1.0] > math.pi)
 
 
 class TestMatchPoles:
@@ -261,21 +303,33 @@ def regula_falsi_reference(fn, lo, hi, width_tol):
     return lo, hi
 
 
-# the bracket sets that analyze refines: the zeros of the eta range
-# (0.1, 300) with 10 and 1000 roots at a z-width of 1e-12; and every zero
-# below z = 800 at 1e-10, the panel edges of the zero-aligned quadrature
-# that TestIntegrateDensity compares the fixed panels with
+# sign-change brackets for _refine_brackets, the safeguarded Newton of
+# match_poles: the zeros of the eta range (0.1, 300) with 10 and 1000 roots
+# at a z-width of 1e-12, and every zero below z = 800 at 1e-10
 BRACKET_SETS = {"zeros10": (10, 1e-12), "zeros1000": (1000, 1e-12), "edges": (None, 1e-10)}
 
 
+def scan_mesh(z_lo, z_hi):
+    """A plain z mesh for sign-change scans, z_lo < 1 < z_hi: geometric
+    below z = 1 (at most one or two zeros live there), then steps of pi/4
+    (zeros are simple and asymptotically pi apart), then z_hi."""
+    return np.concatenate([np.geomspace(z_lo, 1.0, 48)[:-1],
+                           np.arange(1.0, z_hi, math.pi / 4.0), [z_hi]])
+
+
 def bracket_set(m, c1, c2, name):
+    """The sign-change brackets of w on scan_mesh, with the sign at each
+    lower end and the regula-falsi point of the two mesh values."""
     consts = SolutionConstants(c1=c1, c2=c2)
     max_roots, wtol = BRACKET_SETS[name]
     k = m / (4.0 * SQ2)
     z_lo, z_hi = (1e-8, analysis._TAIL_START) if max_roots is None else (
         k * 0.1**2, k * 300.0**2)
-    fn = analysis._c_fn(consts)
-    return consts, analysis._bracket_zeros(fn, z_lo, z_hi, max_roots), wtol
+    mesh = scan_mesh(z_lo, z_hi)
+    vals = analysis._c_fn(consts)(mesh)
+    idx = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[:max_roots]
+    a, b, fa, fb = mesh[idx], mesh[idx + 1], vals[idx], vals[idx + 1]
+    return consts, (a, b, np.sign(fa), a + (b - a) * (fa / (fa - fb))), wtol
 
 
 def counting_slope_fn(monkeypatch):
@@ -314,54 +368,56 @@ class TestRefinement:
     @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
     def test_evaluations_per_bracket_set(self, m, c1, c2, monkeypatch):
         # the regula-falsi reference needs 38-46 evaluations of w per set;
-        # the four sets are the zeros and poles of 10 and 1000 roots, since
-        # integrate_density refines no zeros
+        # match_poles refines the poles of 10 and 1000 roots, find_zeros
+        # refines no bracket but solves on the phase, and integrate_density
+        # searches no zero
         counts = counting_slope_fn(monkeypatch)
+        points = jy_points(monkeypatch)
         params = PhysicalParams(m=m)
         consts = SolutionConstants(c1=c1, c2=c2)
         for max_roots in (10, 1000):
+            before = len(points)
             rs = find_zeros((0.1, 300.0), params, consts, max_roots=max_roots)
+            assert len(points) - before <= 8, points[before:]
             match_poles(rs, params, consts)
         integrate_density([10.0, 100.0, 1000.0, 10000.0], params, consts)
-        assert len(counts) == 4
+        assert len(counts) == 2
         assert all(1 <= n <= 8 for n in counts), counts
 
-    def test_brackets_close_at_float_spacing(self, params, consts, monkeypatch):
+    def test_newton_steps_close_at_float_spacing(self, params, consts, monkeypatch):
         # z reaches ~3.1e4 here; above z = 4096 two float spacings exceed
-        # the 1e-12 width tolerance, and such brackets close at that width
-        # instead of running to the iteration cap
-        counts = counting_slope_fn(monkeypatch)
-        refined = []
-        real = analysis._refine_brackets
-
-        def recording(*args):
-            refined.append((real(*args), args[-1]))
-            return refined[-1][0]
-
-        monkeypatch.setattr(analysis, "_refine_brackets", recording)
+        # the 1e-12 step tolerance, and such roots close at that step
+        # instead of running to the iteration cap.  The width is the last
+        # step in eta, |step| / (2 sqrt(k z)).
+        points = jy_points(monkeypatch)
         rs = find_zeros((0.1, 1000.0), params, consts, max_roots=10_000)
-        assert len(rs.roots) == 10_000
-        [((z_a, z_b), wtol)] = refined
-        assert np.count_nonzero(2.0 * np.spacing(z_b) > wtol) > 5000
-        assert np.all(z_b - z_a <= np.maximum(wtol, 2.0 * np.spacing(z_b)))
-        assert counts == [counts[0]] and counts[0] <= 8
+        assert len(rs.roots) == 10_000 and len(points) <= 8
+        k, wtol = params.k, 1e-12  # 1e-10 * 2 sqrt(k z) exceeds 1e-12 here
+        etas, widths = np.array(rs.roots).T
+        z = k * etas * etas
+        steps = widths * 2.0 * np.sqrt(k * z)
+        assert np.count_nonzero(2.0 * np.spacing(z) > wtol) > 5000
+        assert np.all(steps <= np.maximum(wtol, 2.0 * np.spacing(z)) * (1.0 + 1e-12))
 
+    @pytest.mark.parametrize("d", (1, 2, 3))
     @pytest.mark.parametrize("m,c1,c2", ACCEPTANCE_SETS)
-    def test_roots_against_mpmath(self, m, c1, c2):
+    def test_roots_against_mpmath(self, m, c1, c2, d):
+        # the first ten roots and every 37th of 1000, to 1e-14 relative
         mpmath = pytest.importorskip("mpmath")
-        params = PhysicalParams(m=m)
+        params = PhysicalParams(m=m, dimension=d)
         rs = find_zeros((0.1, 300.0), params, SolutionConstants(c1=c1, c2=c2),
                         max_roots=1000)
         etas = rs.etas()
         with mpmath.workdps(30):
-            k = mpmath.mpf(m) / (4 * mpmath.sqrt(2))
+            k = mpmath.mpf(m) / (4 * mpmath.sqrt(d))
 
             def w(z):
                 return c2 * mpmath.bessely(0.25, z) - c1 * mpmath.besselj(0.25, z)
 
-            for eta in etas[::37]:
+            for eta in np.concatenate([etas[:10], etas[::37]]):
                 z_ref = mpmath.findroot(w, k * mpmath.mpf(eta) ** 2)
-                assert abs(eta - float(mpmath.sqrt(z_ref / k))) <= 1e-12
+                eta_ref = float(mpmath.sqrt(z_ref / k))
+                assert abs(eta - eta_ref) <= 1e-14 * eta_ref, eta
 
 
 class TestRootSetInvariants:
@@ -380,18 +436,15 @@ ANALYZE_LIMITS = (sorted(ref.F_INTEGRALS) + [5000.0, 1e4],
                   [10.0, 100.0, 1e3, 1e4, 2e5, 1e6])
 
 
-def zero_aligned_edges(consts):
-    """A stand-in for analysis._panel_edges: the zeros of w below z_hi,
-    refined to a z-width of 1e-10, the panel edges integrate_density used
-    before its fixed grid."""
+def zero_aligned_edges(params, consts):
+    """A stand-in for analysis._panel_edges: the zeros of w in (1e-8, z_hi),
+    the panel edges integrate_density used before its fixed grid."""
+    k = params.k
+
     def edges(z_hi):
-        b_lo, b_hi, sign_lo, start = analysis._bracket_zeros(
-            analysis._c_fn(consts), 1e-8, z_hi)
-        if len(b_lo) == 0:
-            return np.empty(0)
-        z_a, z_b = analysis._refine_brackets(analysis._newton_fn(consts), b_lo, b_hi,
-                                             sign_lo, start, 1e-10)
-        return 0.5 * (z_a + z_b)
+        rs = find_zeros((math.sqrt(1e-8 / k), math.sqrt(z_hi / k)), params, consts,
+                        max_roots=0)
+        return k * rs.etas() ** 2
     return edges
 
 
@@ -404,7 +457,7 @@ class TestIntegrateDensity:
         params = PhysicalParams(m=m, dimension=d)
         consts = SolutionConstants(c1=c1, c2=c2)
         fixed = integrate_density(limits, params, consts)
-        monkeypatch.setattr(analysis, "_panel_edges", zero_aligned_edges(consts))
+        monkeypatch.setattr(analysis, "_panel_edges", zero_aligned_edges(params, consts))
         aligned = integrate_density(limits, params, consts)
         for (h, f, _), (h_ref, f_ref, _) in zip(fixed.partial_integrals,
                                                 aligned.partial_integrals):
@@ -423,7 +476,7 @@ class TestIntegrateDensity:
         def refuse(*args):
             raise AssertionError("integrate_density searched for zeros")
 
-        for name in ("_bracket_zeros", "_refine_brackets"):
+        for name in ("find_zeros", "_refine_brackets"):
             monkeypatch.setattr(analysis, name, refuse)
         integrate_density([10.0, 100.0, 1000.0, 10000.0], params, consts)
 

@@ -265,8 +265,8 @@ class TestEvaluatorCallCounts:
         assert len(calls) <= 5
 
     def test_zeros_jy_calls(self, monkeypatch, capsys):
-        # the scan, the Newton steps of the zeros, and the pole checks, whose
-        # sign test and first Newton step share one call
+        # the phase at the range ends, the Newton steps of the zeros, and the
+        # pole checks, whose sign test and first Newton step share one call
         calls = _spy(monkeypatch, specfun, "_jy")
         assert cli.main(["zeros", "--range", "0.1:300", "--max-roots", "10"]) == 0
         assert len(calls) <= 8

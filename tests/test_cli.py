@@ -711,9 +711,9 @@ class TestZerosCommand:
         code, out, err = run_cli(capsys, ["zeros", "--range", "0.1:0.2", "--max-roots", "0"])
         assert (code, out, err) == (0, "index,eta_star,q_pole_eta,separation\n", "")
 
-    def test_capped_scan_of_a_huge_range_builds_only_its_windows(self, capsys):
-        # eta up to 1e5 is z up to 1.8e9, a 2.3e9-point mesh if built whole;
-        # three roots need only the first window of it
+    def test_capped_search_of_a_huge_range_stays_small(self, capsys):
+        # eta up to 1e5 is z up to 1.8e9, about 5.6e8 zeros; three roots
+        # need the phase at the two range ends and Newton on three points
         argv = ["zeros", "--max-roots", "3", "--range"]
         expected = run_cli(capsys, argv + ["0.1:30"])  # also imports what zeros needs
         tracemalloc.start()
@@ -727,10 +727,19 @@ class TestZerosCommand:
         assert peak < 1_000_000
 
     def test_scan_step_below_float_spacing_exit_2(self, capsys):
-        # z = 1.8e17 has a float spacing of 32, far above the pi/4 scan step
+        # z = 1.8e17 has a float spacing of 32: zeros pi apart are not
+        # resolved there
         code, out, err = run_cli(capsys, ["zeros", "--range", "0.1:1e9", "--max-roots", "1"])
         assert (code, out) == (2, "")
         assert "too large to scan" in err
+
+    def test_too_many_roots_exit_2(self, capsys):
+        # eta up to 1e6 holds ~5.6e10 zeros, far beyond memory; the phase at
+        # the range ends counts them before anything is allocated
+        code, out, err = run_cli(capsys, ["zeros", "--range", "0.1:1e6", "--max-roots", "0"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--max-roots" in err and re.search(r"holds \d{11} density zeros", err)
 
 
 class TestIntegrateCommand:
